@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint ndlint vet fmt staticcheck bench golden-update help
+.PHONY: all build test fuzz race lint ndlint vet fmt staticcheck bench golden-update help
 
 all: build test lint
 
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Short fuzz runs beyond the seed corpora, matching the CI test job's fuzz
+# step. go test -fuzz takes one package and one target per run.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime 15s ./internal/coverage
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 15s ./internal/engine
 
 # Full-tree race detector run — the CI "race (full tree)" gate.
 race:
@@ -54,6 +60,7 @@ golden-update:
 help:
 	@echo "make build         - compile every package"
 	@echo "make test          - run the full test suite"
+	@echo "make fuzz          - 15 s fuzz runs of the fuzz targets"
 	@echo "make race          - full-tree race detector run"
 	@echo "make lint          - gofmt + vet + ndlint (+ staticcheck if installed)"
 	@echo "make ndlint        - determinism-contract lint suite only"

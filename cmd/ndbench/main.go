@@ -32,6 +32,7 @@ import (
 	"repro/internal/protocols"
 	"repro/internal/slots"
 	"repro/internal/textplot"
+	"repro/internal/timebase"
 )
 
 // bench is one registry entry: a name, the Monte-Carlo trials a single op
@@ -88,8 +89,10 @@ func registry() ([]bench, error) {
 		{"EngineExactPoint", 0, engineBench(exact, 0, all)},
 		{"EngineExactPointMC", 500, engineBench(quick, 500, all)},
 		{"CoverageAnalyzeDisco2329", 0, benchCoverageDisco},
+		{"CoverageAnalyzeDiscoOneWay", 0, benchCoverageDiscoOneWay},
 		{"MultichannelAnalyzeBLE", 0, benchMultichannelBLE},
 		{"SlotDomainWorstCase", 0, benchSlotWorstCase},
+		{"SlotsAnalyzeDisco3743", 0, benchSlotsAnalyzeDisco},
 	}, nil
 }
 
@@ -133,6 +136,28 @@ func benchCoverageDisco(b *testing.B) {
 	}
 }
 
+// benchCoverageDiscoOneWay: the analysis behind the engine's "disco" kind,
+// a device's half-duplex beacons against its own windows (primes 37×43,
+// 4 ms slots, 36 µs packets). The pair is not deterministic, so this
+// measures the coverage pass alone.
+func benchCoverageDiscoOneWay(b *testing.B) {
+	d, err := protocols.NewDisco(37, 43, 4*timebase.Millisecond, 36*timebase.Microsecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := d.Device()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coverage.Analyze(dev.B, dev.C, coverage.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchMultichannelBLE: the exact 3-channel BLE latency analysis on the
 // continuous-scanning preset.
 func benchMultichannelBLE(b *testing.B) {
@@ -157,6 +182,22 @@ func benchSlotWorstCase(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := slots.Symmetric(d); !ok {
 			b.Fatal("not deterministic")
+		}
+	}
+}
+
+// benchSlotsAnalyzeDisco: the slot-domain worst/mean analysis behind the
+// engine's "slot-disco" kind, on Disco(37, 43) against itself.
+func benchSlotsAnalyzeDisco(b *testing.B) {
+	d, err := slots.Disco(37, 43)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := slots.Analyze(d, d); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -11,18 +11,26 @@
 // earliest covering beacon (Section 4.1, "Packet-to-packet discovery
 // latency").
 //
-// This package computes all of that exactly, in integer ticks, with an
-// O(n log n) interval sweep — no discretized offset loops. The same engine
-// therefore serves as the repository's reference "simulator" for two
-// periodic devices: analyses are exact rather than sampled. A deliberately
-// naive brute-force evaluator is provided for cross-validation and for the
-// ablation benchmark.
+// This package computes all of that exactly, in integer ticks, with one
+// interval sweep per analysis — no discretized offset loops. Analyze lays
+// out the n beacon images of one hyperperiod lcm(TB, TC) once, sorts their
+// endpoints once (interval.Sweeper's radix sort), and reads every starting
+// beacon's worst and mean latency off the same s elementary segments: the
+// sweep costs O(n·nC·(r + q)) for r radix passes and overlap depth q, and
+// the per-start reading O(s·mB). The same engine therefore serves as the
+// repository's reference "simulator" for two periodic devices: analyses
+// are exact rather than sampled. A deliberately naive brute-force
+// evaluator is provided for cross-validation and for the ablation
+// benchmark.
 package coverage
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
+	"slices"
 
 	"repro/internal/interval"
 	"repro/internal/schedule"
@@ -99,6 +107,15 @@ type Result struct {
 // Analyze performs exact coverage analysis of the pair (b, c): device E runs
 // the beacon sequence b, device F the reception window sequence c, and we
 // measure F discovering E.
+//
+// Every Result field comes from one sweep of beacon 0's images. By
+// Equation 3 starting beacon j's images are beacon 0's shifted by its
+// delay τj, and a shift of the circle changes neither the worst nor the
+// mean latency over it. So at an offset covered by beacons with delays
+// l1 < l2 < …, start j discovers with the first delay ≥ τj, and past the
+// last one with l1 plus the hyperperiod, after which the images repeat. A
+// capped horizon cuts that repetition, so the sweep then lists the mB−1
+// beacons the later starts reach beyond it instead.
 func Analyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, error) {
 	if err := b.Validate(); err != nil {
 		return Result{}, err
@@ -118,71 +135,112 @@ func Analyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, e
 		return Result{}, err
 	}
 
-	horizon := horizonBeacons(b, c, opt)
-
-	// Absolute beacon times for one hyperperiod starting at beacon 0,
-	// plus enough wrap context for every starting beacon.
-	gaps := b.Gaps()
+	// Start j examines beacons j … j+horizon−1: the delays below
+	// delays[j+horizon].
+	horizon, hyper := horizonBeacons(b, c, opt)
 	mB := b.MB()
-
-	var res Result
-
-	// Pass 1: start at beacon 0; determine determinism, minimal prefix,
-	// and the label sweep reused for multiplicity.
-	items0, times0 := coverageItems(b, windows, c.Period, 0, horizon)
-	segs, covered := interval.SweepMin(c.Period, items0)
-	res.Deterministic = covered
-	res.CoveredFraction = coveredFraction(segs, c.Period)
-	if !covered {
-		// Redundant/Disjoint are properties of a deterministic prefix
-		// (Definition 4.2) and stay false for non-deterministic pairs.
-		res.MinMultiplicity, res.MaxMultiplicity = multiplicityPerPeriod(b, windows, c.Period)
-		return res, nil
+	delays := beaconDelays(b, horizon+mB)
+	listed := horizon
+	if hyper == 0 {
+		listed += mB - 1
+	}
+	items := make([]interval.Labeled, 0, listed*len(windows))
+	for _, d := range delays[:listed] {
+		for _, w := range windows {
+			items = append(items, interval.Labeled{Lo: w.Start - d, Length: w.Len, Label: int64(d)})
+		}
 	}
 
-	// Minimal deterministic prefix: smallest m such that the first m
-	// beacons cover the circle. Binary search over prefix length.
-	res.MinimalPrefix = minimalPrefix(c.Period, items0, times0)
+	var (
+		uncovered  timebase.Ticks
+		minM, maxM = math.MaxInt, 0
+		lastFirst  int64                    // latest first-covering delay from beacon 0
+		minSecond  = int64(math.MaxInt64)   // earliest second-covering delay
+		lMax       = make([]int64, mB)      // per start: worst packet latency
+		lSum       = make([]uint128, mB)    // per start: Σ latency · segment length
+		failed     = mB                     // first start that leaves an offset uncovered
+		horizonEnd = int64(delays[horizon]) // beacon 0's horizon
+	)
+	var sweep interval.Sweeper
+	sweep.Sweep(c.Period, items, func(iv interval.Interval, labels []int64) {
+		// The beacons of one period have delays below TB.
+		m := 0
+		for m < len(labels) && labels[m] < int64(b.Period) {
+			m++
+		}
+		minM, maxM = min(minM, m), max(maxM, m)
+		if len(labels) == 0 || labels[0] >= horizonEnd {
+			uncovered += iv.Len()
+			return
+		}
+		lastFirst = max(lastFirst, labels[0])
+		if len(labels) > 1 {
+			minSecond = min(minSecond, labels[1])
+		}
+		if uncovered > 0 {
+			return // not deterministic: latencies are not reported
+		}
+		length, ends, p := uint64(iv.Len()), delays[horizon:horizon+mB], 0
+		for j, tau := range delays[:mB] {
+			for p < len(labels) && labels[p] < int64(tau) {
+				p++
+			}
+			var first int64
+			switch {
+			case p < len(labels) && labels[p] < int64(ends[j]):
+				first = labels[p]
+			case hyper > 0:
+				first = labels[0] + int64(hyper)
+			default:
+				failed = min(failed, j)
+				continue
+			}
+			l := first - int64(tau)
+			lMax[j] = max(lMax[j], l)
+			lSum[j].addMul(uint64(l), length)
+		}
+	})
 
-	prefixItems := items0[:prefixItemCount(items0, times0, res.MinimalPrefix)]
-	res.Redundant, res.Disjoint = classifyPrefix(prefixItems, c.Period)
-	res.MinMultiplicity, res.MaxMultiplicity = multiplicityPerPeriod(b, windows, c.Period)
+	res := Result{
+		Deterministic:   uncovered == 0,
+		CoveredFraction: float64(c.Period-uncovered) / float64(c.Period),
+		MinMultiplicity: minM,
+		MaxMultiplicity: maxM,
+	}
+	if !res.Deterministic {
+		// Redundant/Disjoint are properties of a deterministic prefix
+		// (Definition 4.2) and stay false for non-deterministic pairs.
+		return res, nil
+	}
+	// The minimal deterministic prefix ends with the latest first-covering
+	// beacon; it is redundant iff a second beacon within it covers some
+	// offset.
+	last, _ := slices.BinarySearch(delays, timebase.Ticks(lastFirst))
+	res.MinimalPrefix = last + 1
+	res.Redundant = minSecond < int64(delays[last+1])
+	res.Disjoint = !res.Redundant
+	if failed < mB {
+		return res, fmt.Errorf("coverage: start beacon %d does not achieve coverage although beacon 0 does", failed)
+	}
 
-	// Pass 2: worst and mean latency over every starting beacon j. The
-	// entry instant falls in the gap before beacon j (length gaps[j-1]),
-	// and Φ1 is independent of it.
+	// Worst and mean latency over every starting beacon j. The entry
+	// instant falls in the gap before beacon j (length gaps[j-1]), and Φ1
+	// is independent of it.
 	extra := timebase.Ticks(0)
 	if opt.CountLastPacket {
 		extra = maxOmega(b)
 	}
+	gaps := b.Gaps()
 	var worst timebase.Ticks
 	var worstPacket timebase.Ticks
 	var meanNum float64 // Σ_j λ_{j-1} · (E_Φ[l*_j] + λ_{j-1}/2)
 	for j := 0; j < mB; j++ {
-		items, _ := coverageItems(b, windows, c.Period, j, horizon)
-		sj, cov := interval.SweepMin(c.Period, items)
-		if !cov {
-			// Cannot happen for periodic pairs if pass 1 covered, but guard
-			// against pathological inputs.
-			return res, fmt.Errorf("coverage: start beacon %d does not achieve coverage although beacon 0 does", j)
-		}
-		var lMax timebase.Ticks
-		var lSum float64
-		for _, seg := range sj {
-			l := timebase.Ticks(seg.Label) + extra
-			if l > lMax {
-				lMax = l
-			}
-			lSum += float64(l) * float64(seg.Iv.Len())
-		}
+		l := timebase.Ticks(lMax[j]) + extra
+		lSum[j].addMul(uint64(extra), uint64(c.Period))
 		gapBefore := gaps[(j-1+mB)%mB]
-		if lMax > worstPacket {
-			worstPacket = lMax
-		}
-		if gapBefore+lMax > worst {
-			worst = gapBefore + lMax
-		}
-		lMean := lSum / float64(c.Period)
+		worstPacket = max(worstPacket, l)
+		worst = max(worst, gapBefore+l)
+		lMean := lSum[j].float64() / float64(c.Period)
 		meanNum += float64(gapBefore) * (lMean + float64(gapBefore)/2)
 	}
 	res.WorstPacketLatency = worstPacket
@@ -208,8 +266,12 @@ func LatencyProfile(b schedule.BeaconSeq, c schedule.WindowSeq, startIdx int, op
 	if err != nil {
 		return nil, err
 	}
-	horizon := horizonBeacons(b, c, opt)
-	items, _ := coverageItems(b, windows, c.Period, startIdx%b.MB(), horizon)
+	horizon, _ := horizonBeacons(b, c, opt)
+	start := startIdx % b.MB()
+	if start < 0 {
+		start += b.MB()
+	}
+	items, _ := coverageItems(b, windows, c.Period, start, horizon)
 	segs, _ := interval.SweepMin(c.Period, items)
 	return segs, nil
 }
@@ -239,7 +301,7 @@ func QWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, q int, opt Option
 	// The horizon must span q coverings: q hyperperiods always suffice
 	// (each hyperperiod repeats the full image set). An explicit
 	// MaxBeacons cap is honored verbatim.
-	horizon := horizonBeacons(b, c, opt)
+	horizon, _ := horizonBeacons(b, c, opt)
 	if opt.MaxBeacons == 0 {
 		horizon *= q
 	}
@@ -360,7 +422,7 @@ func BruteForceWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, step tim
 	for _, w := range windows {
 		wset.Add(w.Start, w.Len)
 	}
-	horizon := horizonBeacons(b, c, opt)
+	horizon, _ := horizonBeacons(b, c, opt)
 	gaps := b.Gaps()
 	mB := b.MB()
 	extra := timebase.Ticks(0)
@@ -433,21 +495,56 @@ func maxOmega(b schedule.BeaconSeq) timebase.Ticks {
 }
 
 // horizonBeacons returns how many consecutive beacons to examine: one full
-// hyperperiod's worth (images repeat after lcm(TB, TC)), or the caller's cap.
-func horizonBeacons(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) int {
+// hyperperiod's worth (images repeat after lcm(TB, TC)), or the caller's
+// cap. hyper is the hyperperiod when the horizon spans exactly one, and 0
+// when a cap cut it.
+func horizonBeacons(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (n int, hyper timebase.Ticks) {
 	if opt.MaxBeacons > 0 {
-		return opt.MaxBeacons
+		return opt.MaxBeacons, 0
 	}
 	hp := timebase.LCM(b.Period, c.Period)
-	n := hp / b.Period * timebase.Ticks(b.MB())
+	beacons := hp / b.Period * timebase.Ticks(b.MB())
 	const maxHorizon = 4 << 20
-	if n > maxHorizon {
-		return maxHorizon
+	if beacons > maxHorizon {
+		return maxHorizon, 0
 	}
-	if n < 1 {
-		return 1
+	if beacons < 1 {
+		return 1, 0
 	}
-	return int(n)
+	return int(beacons), hp
+}
+
+// beaconDelays returns the delays of the first n beacons of B∞ after
+// beacon 0, in order.
+func beaconDelays(b schedule.BeaconSeq, n int) []timebase.Ticks {
+	mB := b.MB()
+	first := b.Beacons[0].Time
+	delays := make([]timebase.Ticks, n)
+	for i := range delays {
+		delays[i] = timebase.Ticks(i/mB)*b.Period + b.Beacons[i%mB].Time - first
+	}
+	return delays
+}
+
+// uint128 is an exact unsigned 128-bit sum: a latency-weighted length
+// summed over a long horizon can exceed int64.
+type uint128 struct{ hi, lo uint64 }
+
+func (u *uint128) addMul(x, y uint64) {
+	hi, lo := bits.Mul64(x, y)
+	var carry uint64
+	u.lo, carry = bits.Add64(u.lo, lo, 0)
+	u.hi += hi + carry
+}
+
+// float64 returns u rounded to the nearest float64.
+func (u uint128) float64() float64 {
+	if u.hi == 0 {
+		return float64(u.lo)
+	}
+	x := new(big.Int).Lsh(new(big.Int).SetUint64(u.hi), 64)
+	f, _ := new(big.Float).SetInt(x.Or(x, new(big.Int).SetUint64(u.lo))).Float64()
+	return f
 }
 
 // coverageItems builds the labeled intervals for a beacon sequence starting
@@ -474,87 +571,4 @@ func coverageItems(b schedule.BeaconSeq, windows []schedule.Window, tc timebase.
 		}
 	}
 	return items, delays
-}
-
-// minimalPrefix finds the smallest number of beacons whose union covers the
-// circle, assuming the full item list does cover it.
-func minimalPrefix(tc timebase.Ticks, items []interval.Labeled, delays []timebase.Ticks) int {
-	lo, hi := 1, len(delays)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		n := prefixItemCount(items, delays, mid)
-		if _, cov := interval.SweepMin(tc, items[:n]); cov {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// prefixItemCount returns how many leading items belong to the first m
-// beacons. Items are emitted beacon-major by coverageItems, so this is
-// m × windowsPerBeacon.
-func prefixItemCount(items []interval.Labeled, delays []timebase.Ticks, m int) int {
-	if len(delays) == 0 {
-		return 0
-	}
-	perBeacon := len(items) / len(delays)
-	n := m * perBeacon
-	if n > len(items) {
-		n = len(items)
-	}
-	return n
-}
-
-func classifyPrefix(items []interval.Labeled, tc timebase.Ticks) (redundant, disjoint bool) {
-	if len(items) == 0 {
-		return false, true
-	}
-	segs, _ := interval.SweepMin(tc, items)
-	disjoint = true
-	for _, seg := range segs {
-		if seg.Count > 1 {
-			redundant = true
-			disjoint = false
-		}
-	}
-	return redundant, disjoint
-}
-
-// multiplicityPerPeriod reports min/max, over offsets, of the number of
-// beacons within one beacon period TB whose image covers the offset.
-func multiplicityPerPeriod(b schedule.BeaconSeq, windows []schedule.Window, tc timebase.Ticks) (minM, maxM int) {
-	items := make([]interval.Labeled, 0, b.MB()*len(windows))
-	first := b.Beacons[0].Time
-	for _, bc := range b.Beacons {
-		delay := bc.Time - first
-		for _, w := range windows {
-			items = append(items, interval.Labeled{Lo: w.Start - delay, Length: w.Len, Label: int64(delay)})
-		}
-	}
-	segs, _ := interval.SweepMin(tc, items)
-	minM = math.MaxInt
-	for _, seg := range segs {
-		if seg.Count < minM {
-			minM = seg.Count
-		}
-		if seg.Count > maxM {
-			maxM = seg.Count
-		}
-	}
-	if minM == math.MaxInt {
-		minM = 0
-	}
-	return minM, maxM
-}
-
-func coveredFraction(segs []interval.Segment, period timebase.Ticks) float64 {
-	var covered timebase.Ticks
-	for _, seg := range segs {
-		if seg.Count > 0 {
-			covered += seg.Iv.Len()
-		}
-	}
-	return float64(covered) / float64(period)
 }

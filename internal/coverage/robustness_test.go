@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/schedule"
@@ -117,24 +118,22 @@ func TestAnalyzeBeaconLongerThanWindow(t *testing.T) {
 	}
 }
 
-// TestLatencyProfileStartIndexWraps: start indices beyond mB wrap.
+// TestLatencyProfileStartIndexWraps: start indices beyond mB, and
+// negative ones, wrap modulo mB.
 func TestLatencyProfileStartIndexWraps(t *testing.T) {
 	c, _ := schedule.NewUniformWindows(10, 4)
 	b, _ := schedule.NewEqualGapBeacons(4, 30, 2, 0)
-	s0, err := LatencyProfile(b, c, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, err := LatencyProfile(b, c, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s0) != len(s4) {
-		t.Fatalf("profiles differ in length: %d vs %d", len(s0), len(s4))
-	}
-	for i := range s0 {
-		if s0[i] != s4[i] {
-			t.Errorf("segment %d differs between start 0 and start 4 (mod mB)", i)
+	for _, tc := range []struct{ start, same int }{{4, 0}, {-4, 0}, {-1, 3}} {
+		want, err := LatencyProfile(b, c, tc.same, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := LatencyProfile(b, c, tc.start, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("profile from start %d differs from start %d (mod mB)", tc.start, tc.same)
 		}
 	}
 }

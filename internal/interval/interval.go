@@ -6,7 +6,8 @@
 // protocol is deterministic iff the union of all Ωi covers the full circle.
 // This package provides the exact integer interval arithmetic those
 // arguments need: normalized unions, measures, gap enumeration, and a
-// labeled min-sweep used to extract worst-case discovery latencies.
+// labeled sweep that reports every elementary segment's sorted covering
+// labels, from which worst-case discovery latencies are read.
 //
 // All intervals are half-open [Lo, Hi): a beacon sent exactly at the end of
 // a reception window is not received. Endpoints are timebase.Ticks.
@@ -192,180 +193,4 @@ func (s *Set) Clone() *Set {
 // String renders the set as a list of intervals.
 func (s *Set) String() string {
 	return fmt.Sprintf("Set(period=%d, %v)", s.period, s.ivs)
-}
-
-// Labeled is an interval on the circle annotated with an int64 label. In
-// coverage analysis the label is the packet-to-packet discovery latency
-// achieved when the initial offset falls inside the interval; the min-sweep
-// below then computes the best (earliest) beacon per offset.
-type Labeled struct {
-	Lo, Length timebase.Ticks // circular placement, reduced mod period
-	Label      int64
-}
-
-// Segment is an elementary segment of the circle produced by SweepMin: all
-// offsets in Iv share the same covering multiplicity Count and the same
-// minimal label Label. Count == 0 means the segment is uncovered (and Label
-// is meaningless).
-type Segment struct {
-	Iv    Interval
-	Label int64
-	Count int
-}
-
-// SweepMin partitions [0, period) into elementary segments. For every
-// segment it reports how many of the labeled intervals cover it and the
-// minimum label among them. covered is true iff every point of the circle is
-// covered at least once.
-//
-// The sweep runs in O(n log n) for n input intervals and is the workhorse
-// behind exact worst-case-latency extraction: max over segments of the
-// minimal label is the worst-case packet-to-packet latency (Section 4.1).
-func SweepMin(period timebase.Ticks, items []Labeled) (segs []Segment, covered bool) {
-	if period <= 0 {
-		panic(fmt.Sprintf("interval: SweepMin with non-positive period %d", period))
-	}
-	type event struct {
-		at    timebase.Ticks
-		delta int // +1 open, −1 close
-		label int64
-	}
-	var events []event
-	for _, it := range items {
-		if it.Length <= 0 {
-			continue
-		}
-		length := it.Length
-		if length > period {
-			length = period
-		}
-		lo := it.Lo.Mod(period)
-		hi := lo + length
-		if hi <= period {
-			events = append(events,
-				event{lo, +1, it.Label}, event{hi, -1, it.Label})
-		} else {
-			events = append(events,
-				event{lo, +1, it.Label}, event{period, -1, it.Label},
-				event{0, +1, it.Label}, event{hi - period, -1, it.Label})
-		}
-	}
-	if len(events) == 0 {
-		return []Segment{{Iv: Interval{0, period}, Count: 0}}, false
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
-		}
-		// Closes before opens at the same point keeps half-open semantics.
-		return events[i].delta < events[j].delta
-	})
-
-	// Active multiset of labels; a simple sorted slice is fine because the
-	// overlap depth in real schedules is tiny (the redundancy factor Q).
-	var active minMultiset
-	covered = true
-	var prev timebase.Ticks
-	flush := func(upTo timebase.Ticks) {
-		if upTo <= prev {
-			return
-		}
-		seg := Segment{Iv: Interval{prev, upTo}, Count: active.size()}
-		if seg.Count == 0 {
-			covered = false
-		} else {
-			seg.Label = active.min()
-		}
-		segs = append(segs, seg)
-		prev = upTo
-	}
-	for _, ev := range events {
-		flush(ev.at)
-		if ev.delta > 0 {
-			active.add(ev.label)
-		} else {
-			active.remove(ev.label)
-		}
-	}
-	flush(period)
-	return segs, covered
-}
-
-// SweepKth is SweepMin generalized to redundant coverage: for every
-// elementary segment it reports the k-th smallest label among covering
-// intervals (k = 1 reproduces SweepMin's labels). covered is true iff every
-// point is covered at least k times. Appendix B of the paper uses this to
-// compute L(Pf): the worst-case time until an offset has been covered by Q
-// distinct beacons.
-func SweepKth(period timebase.Ticks, items []Labeled, k int) (segs []Segment, covered bool) {
-	if k < 1 {
-		panic(fmt.Sprintf("interval: SweepKth with k=%d", k))
-	}
-	all, _ := SweepMin(period, items)
-	// SweepMin already partitions the circle; recompute the k-th label per
-	// segment with a second pass keyed by the same boundaries. Rather than
-	// re-sweeping, walk the items per segment: segment counts are small
-	// (the redundancy degree), so this stays cheap.
-	covered = true
-	for _, seg := range all {
-		if seg.Count < k {
-			covered = false
-			segs = append(segs, Segment{Iv: seg.Iv, Count: seg.Count})
-			continue
-		}
-		segs = append(segs, Segment{Iv: seg.Iv, Count: seg.Count, Label: kthLabelAt(period, items, seg.Iv.Lo, k)})
-	}
-	return segs, covered
-}
-
-// kthLabelAt returns the k-th smallest label among intervals covering point
-// p (which must be covered at least k times).
-func kthLabelAt(period timebase.Ticks, items []Labeled, p timebase.Ticks, k int) int64 {
-	var labels []int64
-	for _, it := range items {
-		if it.Length <= 0 {
-			continue
-		}
-		length := it.Length
-		if length > period {
-			length = period
-		}
-		lo := it.Lo.Mod(period)
-		d := (p - lo).Mod(period)
-		if d < length {
-			labels = append(labels, it.Label)
-		}
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels[k-1]
-}
-
-// minMultiset is a small multiset of int64 values supporting min().
-type minMultiset struct {
-	vals []int64
-}
-
-func (m *minMultiset) add(v int64) {
-	i := sort.Search(len(m.vals), func(k int) bool { return m.vals[k] >= v })
-	m.vals = append(m.vals, 0)
-	copy(m.vals[i+1:], m.vals[i:])
-	m.vals[i] = v
-}
-
-func (m *minMultiset) remove(v int64) {
-	i := sort.Search(len(m.vals), func(k int) bool { return m.vals[k] >= v })
-	if i < len(m.vals) && m.vals[i] == v {
-		m.vals = append(m.vals[:i], m.vals[i+1:]...)
-		return
-	}
-	panic(fmt.Sprintf("interval: removing absent label %d", v))
-}
-
-func (m *minMultiset) size() int { return len(m.vals) }
-
-func (m *minMultiset) min() int64 {
-	if len(m.vals) == 0 {
-		panic("interval: min of empty multiset")
-	}
-	return m.vals[0]
 }

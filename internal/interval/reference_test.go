@@ -1,0 +1,199 @@
+package interval
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/timebase"
+)
+
+// referenceSweepMin is the comparison-sorted sweep SweepMin used to be:
+// events sorted with sort.Slice and a sorted multiset of active labels.
+// It stays here as the reference the radix-sorted Sweeper is checked
+// against, segment for segment.
+func referenceSweepMin(period timebase.Ticks, items []Labeled) (segs []Segment, covered bool) {
+	if period <= 0 {
+		panic(fmt.Sprintf("interval: SweepMin with non-positive period %d", period))
+	}
+	type event struct {
+		at    timebase.Ticks
+		delta int // +1 open, −1 close
+		label int64
+	}
+	var events []event
+	for _, it := range items {
+		if it.Length <= 0 {
+			continue
+		}
+		length := it.Length
+		if length > period {
+			length = period
+		}
+		lo := it.Lo.Mod(period)
+		hi := lo + length
+		if hi <= period {
+			events = append(events,
+				event{lo, +1, it.Label}, event{hi, -1, it.Label})
+		} else {
+			events = append(events,
+				event{lo, +1, it.Label}, event{period, -1, it.Label},
+				event{0, +1, it.Label}, event{hi - period, -1, it.Label})
+		}
+	}
+	if len(events) == 0 {
+		return []Segment{{Iv: Interval{0, period}, Count: 0}}, false
+	}
+	sort.Slice(events, func(i, j int) bool {
+		if events[i].at != events[j].at {
+			return events[i].at < events[j].at
+		}
+		// Closes before opens at the same point keeps half-open semantics.
+		return events[i].delta < events[j].delta
+	})
+
+	var active minMultiset
+	covered = true
+	var prev timebase.Ticks
+	flush := func(upTo timebase.Ticks) {
+		if upTo <= prev {
+			return
+		}
+		seg := Segment{Iv: Interval{prev, upTo}, Count: active.size()}
+		if seg.Count == 0 {
+			covered = false
+		} else {
+			seg.Label = active.min()
+		}
+		segs = append(segs, seg)
+		prev = upTo
+	}
+	for _, ev := range events {
+		flush(ev.at)
+		if ev.delta > 0 {
+			active.add(ev.label)
+		} else {
+			active.remove(ev.label)
+		}
+	}
+	flush(period)
+	return segs, covered
+}
+
+// referenceSweepKth is the SweepKth that re-scanned every item for the
+// k-th label of each segment (kthLabelAt).
+func referenceSweepKth(period timebase.Ticks, items []Labeled, k int) (segs []Segment, covered bool) {
+	if k < 1 {
+		panic(fmt.Sprintf("interval: SweepKth with k=%d", k))
+	}
+	all, _ := referenceSweepMin(period, items)
+	covered = true
+	for _, seg := range all {
+		if seg.Count < k {
+			covered = false
+			segs = append(segs, Segment{Iv: seg.Iv, Count: seg.Count})
+			continue
+		}
+		segs = append(segs, Segment{Iv: seg.Iv, Count: seg.Count, Label: kthLabelAt(period, items, seg.Iv.Lo, k)})
+	}
+	return segs, covered
+}
+
+// kthLabelAt returns the k-th smallest label among intervals covering point
+// p (which must be covered at least k times).
+func kthLabelAt(period timebase.Ticks, items []Labeled, p timebase.Ticks, k int) int64 {
+	var labels []int64
+	for _, it := range items {
+		if it.Length <= 0 {
+			continue
+		}
+		length := it.Length
+		if length > period {
+			length = period
+		}
+		lo := it.Lo.Mod(period)
+		d := (p - lo).Mod(period)
+		if d < length {
+			labels = append(labels, it.Label)
+		}
+	}
+	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
+	return labels[k-1]
+}
+
+// minMultiset is a small multiset of int64 values supporting min().
+type minMultiset struct {
+	vals []int64
+}
+
+func (m *minMultiset) add(v int64) {
+	i := sort.Search(len(m.vals), func(k int) bool { return m.vals[k] >= v })
+	m.vals = append(m.vals, 0)
+	copy(m.vals[i+1:], m.vals[i:])
+	m.vals[i] = v
+}
+
+func (m *minMultiset) remove(v int64) {
+	i := sort.Search(len(m.vals), func(k int) bool { return m.vals[k] >= v })
+	if i < len(m.vals) && m.vals[i] == v {
+		m.vals = append(m.vals[:i], m.vals[i+1:]...)
+		return
+	}
+	panic(fmt.Sprintf("interval: removing absent label %d", v))
+}
+
+func (m *minMultiset) size() int { return len(m.vals) }
+
+func (m *minMultiset) min() int64 {
+	if len(m.vals) == 0 {
+		panic("interval: min of empty multiset")
+	}
+	return m.vals[0]
+}
+
+// TestSweepMatchesReference: SweepMin and SweepKth return exactly the
+// reference's segments, over periods that need one to four radix passes,
+// items that wrap, exceed the period or are empty, and repeated labels.
+// One Sweeper serves every case, so buffer reuse is covered too.
+func TestSweepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var sw Sweeper
+	for trial := 0; trial < 3000; trial++ {
+		period := timebase.Ticks(rng.Int63n(1<<(4+rng.Intn(28)))) + 1
+		items := make([]Labeled, rng.Intn(24))
+		for i := range items {
+			items[i] = Labeled{
+				Lo:     timebase.Ticks(rng.Int63n(3*int64(period))) - period,
+				Length: timebase.Ticks(rng.Int63n(int64(period)+3)) - 1,
+				Label:  rng.Int63n(12),
+			}
+		}
+		k := rng.Intn(3) + 1
+		gotMin, gotCov := SweepMin(period, items)
+		wantMin, wantCov := referenceSweepMin(period, items)
+		if gotCov != wantCov || !reflect.DeepEqual(gotMin, wantMin) {
+			t.Fatalf("period %d items %v: SweepMin %v %v, reference %v %v", period, items, gotMin, gotCov, wantMin, wantCov)
+		}
+		gotK, gotKCov := SweepKth(period, items, k)
+		wantK, wantKCov := referenceSweepKth(period, items, k)
+		if gotKCov != wantKCov || !reflect.DeepEqual(gotK, wantK) {
+			t.Fatalf("period %d k %d items %v: SweepKth %v %v, reference %v %v", period, k, items, gotK, gotKCov, wantK, wantKCov)
+		}
+		// The raw sweep reports the same segments with every covering
+		// label, sorted.
+		i := 0
+		sw.Sweep(period, items, func(iv Interval, labels []int64) {
+			if iv != wantMin[i].Iv || len(labels) != wantMin[i].Count ||
+				(len(labels) > 0 && labels[0] != wantMin[i].Label) ||
+				!sort.SliceIsSorted(labels, func(a, b int) bool { return labels[a] < labels[b] }) {
+				t.Fatalf("period %d items %v: segment %d = %v %v, reference %+v", period, items, i, iv, labels, wantMin[i])
+			}
+			i++
+		})
+		if i != len(wantMin) {
+			t.Fatalf("period %d items %v: %d segments, reference %d", period, items, i, len(wantMin))
+		}
+	}
+}

@@ -135,8 +135,10 @@ type Result struct {
 // difference d = (v − u) mod P is invariant. For each d the positions
 // where both are active form a set S_d; the first-overlap delay from phase
 // u is the circular distance from u to the next element of S_d, so worst
-// and mean reduce to the gap structure of S_d. Complexity O(P²), far below
-// WorstCase's O(Ta·Tb·P).
+// and mean reduce to the gap structure of S_d. Only a's active positions
+// can be in S_d, so each d walks those, checked against b's activity
+// unrolled over two hyperperiods: O(P·|A|) for the |A| = P·|a.Active|/Ta
+// active positions of a, far below WorstCase's O(Ta·Tb·P).
 func Analyze(a, b Schedule) (Result, error) {
 	if err := a.Validate(); err != nil {
 		return Result{}, err
@@ -145,13 +147,16 @@ func Analyze(a, b Schedule) (Result, error) {
 		return Result{}, err
 	}
 	p := lcm(a.Period, b.Period)
-	setA := a.activeSet()
+	posA := make([]int, 0, p/a.Period*len(a.Active))
+	for base := 0; base < p; base += a.Period {
+		for _, s := range a.Active {
+			posA = append(posA, base+s)
+		}
+	}
 	setB := b.activeSet()
-	actA := make([]bool, p)
-	actB := make([]bool, p)
-	for i := 0; i < p; i++ {
-		actA[i] = setA[i%a.Period]
-		actB[i] = setB[i%b.Period]
+	actB := make([]bool, 2*p)
+	for base := 0; base < 2*p; base += b.Period {
+		copy(actB[base:], setB)
 	}
 
 	var (
@@ -161,12 +166,12 @@ func Analyze(a, b Schedule) (Result, error) {
 		uncoveredD int
 	)
 	for d := 0; d < p; d++ {
-		// Walk the circle once, accumulating the gap structure of
-		// S_d = { s : actA[s] ∧ actB[(s+d) mod p] }: per gap of length g
-		// the delays are 0..g−1, summing to g(g−1)/2 with maximum g−1.
+		// Walk S_d = { s : a active at s ∧ b active at s+d } once in
+		// increasing s, accumulating its gap structure: per gap of length
+		// g the delays are 0..g−1, summing to g(g−1)/2 with maximum g−1.
 		first, prev := -1, -1
-		for s := 0; s < p; s++ {
-			if !(actA[s] && actB[(s+d)%p]) {
+		for _, s := range posA {
+			if !actB[s+d] {
 				continue
 			}
 			if first < 0 {

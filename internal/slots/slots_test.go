@@ -206,7 +206,7 @@ func TestSlotDomainMatchesTickDomain(t *testing.T) {
 	}
 }
 
-// TestAnalyzeMatchesWorstCase: the O(P²) gap-structure analysis must agree
+// TestAnalyzeMatchesWorstCase: the gap-structure analysis must agree
 // with the brute-force WorstCase enumeration on worst case and coverage,
 // for identical and differing-period pairs alike.
 func TestAnalyzeMatchesWorstCase(t *testing.T) {
