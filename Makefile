@@ -18,6 +18,7 @@ test:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime 15s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 15s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 15s ./internal/server
 
 # Full-tree race detector run — the CI "race (full tree)" gate.
 race:

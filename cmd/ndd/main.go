@@ -43,6 +43,17 @@ import (
 	"repro/internal/server"
 )
 
+// The HTTP server's connection timeouts. readHeaderTimeout closes a
+// connection whose request line and headers do not arrive in time, so a
+// client that connects and stalls cannot hold it forever; idleTimeout
+// closes a keep-alive connection left unused between requests. There is
+// deliberately no read or write timeout: it would cut long SSE streams and
+// large submits mid-transfer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks an ephemeral port)")
@@ -68,6 +79,11 @@ func main() {
 		fatal(err)
 	}
 
+	// Signals are caught before the daemon announces itself, so a
+	// SIGTERM sent as soon as it answers still drains gracefully.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -76,12 +92,14 @@ func main() {
 	// before serving: scripts and the e2e harness parse this line.
 	fmt.Fprintf(os.Stderr, "ndd: listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case got := <-sig:
 		fmt.Fprintf(os.Stderr, "ndd: %v: shutting down\n", got)

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -298,5 +300,52 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := d.cmd.Wait(); err != nil {
 		t.Errorf("SIGTERM exit: %v, want clean exit", err)
+	}
+}
+
+// TestStalledClientTimesOut: a raw TCP client that sends half a request
+// line and stalls is disconnected within the header timeout (plus slack),
+// and while it stalls a normal submit → result round trip still succeeds.
+func TestStalledClientTimesOut(t *testing.T) {
+	d := startDaemon(t, "-workers", "2")
+	ctx := testCtx(t)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(d.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /v1/jo")); err != nil {
+		t.Fatal(err)
+	}
+
+	client := nd.Dial(d.base)
+	st, err := nd.SubmitJob(ctx, client, nd.JobRequest{Kind: "suite", Name: "paper-fig7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := nd.WaitJob(ctx, client, st.ID); err != nil || final.State != "done" {
+		t.Fatalf("job next to a stalled client: %+v, %v", final, err)
+	}
+	doc, err := nd.JobResult(ctx, client, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stripSuiteDoc(t, doc), readGolden(t, "suite-paper-fig7.json"); !bytes.Equal(got, want) {
+		t.Error("document served next to a stalled client differs from golden")
+	}
+
+	// The daemon may answer the timeout with an error status before
+	// closing; either way the connection must reach EOF in time.
+	const slack = 5 * time.Second
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start), err)
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout/2 {
+		t.Errorf("stalled connection closed after %v, well before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }

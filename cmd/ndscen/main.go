@@ -9,8 +9,10 @@
 //
 // Results are bit-identical for any -workers value: every trial runs on
 // its own RNG stream derived from the scenario's identity hash and the
-// trial index, and aggregation is either trial-ordered (exact) or built
-// from order-insensitive integer accumulators (streaming).
+// trial index, and aggregation folds trials into order-insensitive integer
+// accumulators. Points expecting more than ~262k latency samples are
+// quantized automatically: their quantiles and CDF are reported at bin
+// resolution ("streamed" and "quantile_resolution" in the JSON).
 //
 // -exact (or "exact": true in a spec) answers scenarios from the exact
 // schedule analysis instead of running any trials: deterministic
@@ -34,7 +36,7 @@
 //
 // Sharded execution (-shard k/n -snapshot f.json) runs only trial-range
 // shard k of n and writes the run's accumulator state as a versioned
-// ndshard/1 snapshot instead of results; -merge a.json b.json ... merges a
+// ndshard/2 snapshot instead of results; -merge a.json b.json ... merges a
 // complete shard set into the final document, byte-identical (after
 // -strip) to the unsharded run. Adaptive searches shard round by round:
 // each merge either finishes the search or writes a continuation snapshot
@@ -50,7 +52,6 @@
 //	ndscen -scenario quickstart,sensornet -plot
 //	ndscen -sweep sweep-eta -exact -out eta-exact.json
 //	ndscen -sweep sweep-eta -out eta.json
-//	ndscen -sweep mysweep.json -stream on
 //	ndscen -adaptive adaptive-eta -out eta-refined.json
 //	ndscen -spec myscenarios.json -trials 100
 //	ndscen -sweep sweep-density -progress -cpuprofile cpu.out
@@ -88,7 +89,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		trials   = flag.Int("trials", 0, "override every scenario's trial count")
 		exact    = flag.Bool("exact", false, "answer every scenario from the exact schedule analysis (no trials; deterministic quiet-channel pairs only)")
-		stream   = flag.String("stream", "auto", "streaming aggregator: auto|on|off")
 		out      = flag.String("out", "", "write JSON results to this file (\"-\" = stdout)")
 		plot     = flag.Bool("plot", false, "render the latency CDFs as an ASCII plot")
 		quiet    = flag.Bool("quiet", false, "suppress the text table and metrics summary")
@@ -96,7 +96,7 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceOut = flag.String("trace", "", "write a runtime execution trace to this file")
-		shard    = flag.String("shard", "", "run only trial-range shard k/n and write an ndshard/1 snapshot (needs -snapshot)")
+		shard    = flag.String("shard", "", "run only trial-range shard k/n and write an ndshard/2 snapshot (needs -snapshot)")
 		snapshot = flag.String("snapshot", "", "snapshot file: the -shard output, or the continuation an adaptive -merge writes")
 		merge    = flag.Bool("merge", false, "merge the snapshot files given as arguments into the final document")
 		resume   = flag.String("resume", "", "adaptive continuation snapshot from the previous round's -merge (with -shard -adaptive)")
@@ -129,10 +129,6 @@ func main() {
 		return
 	}
 
-	mode, err := streamMode(*stream)
-	if err != nil {
-		fatal(err)
-	}
 	stopProfiles := startProfiles(*cpuProf, *memProf, *traceOut)
 	defer stopProfiles()
 
@@ -148,6 +144,7 @@ func main() {
 	}
 	var shardSpec engine.ShardSpec
 	if *shard != "" {
+		var err error
 		shardSpec, err = engine.ParseShard(*shard)
 		if err != nil {
 			fatal(err)
@@ -165,7 +162,7 @@ func main() {
 
 	var metrics obs.RunMetrics
 	opt := engine.Options{
-		Workers: *workers, Trials: *trials, Exact: *exact, Stream: mode,
+		Workers: *workers, Trials: *trials, Exact: *exact,
 		Metrics: &metrics,
 	}
 	if *progress {
@@ -567,14 +564,6 @@ func resolveSpecArg[T any](name, what string, preset func(string) (T, error)) (T
 		return zero, fmt.Errorf("parsing %s %s: %w", what, name, jerr)
 	}
 	return fromFile, nil
-}
-
-func streamMode(s string) (engine.StreamMode, error) {
-	mode, err := engine.ParseStreamMode(s)
-	if err != nil {
-		return mode, fmt.Errorf("unknown -stream mode %q (want auto, on or off)", s)
-	}
-	return mode, nil
 }
 
 func writeResult(out string, res engine.SuiteResult) {

@@ -10,8 +10,9 @@ import (
 // TestRepoIsClean runs the full suite over the real module with the
 // checked-in ndlint.json — the same invocation CI's ndlint job makes — and
 // asserts zero findings. This is the regression lock on the violations
-// fixed when the suite landed (streamAccum's float worst field, now
-// timebase.Ticks): reintroducing one fails this test, not just CI.
+// fixed when the suite landed (the streaming accumulator's float worst
+// field, now the integer Accum.Worst): reintroducing one fails this test,
+// not just CI.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; skipped with -short")

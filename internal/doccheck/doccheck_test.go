@@ -150,8 +150,8 @@ func TestRequiredDocSections(t *testing.T) {
 			"exact_mode",
 			"batch windows",
 			"## Sharded execution",
-			"ndshard/1",
-			"ndjournal/1",
+			"ndshard/2",
+			"ndjournal/2",
 			"continuation",
 			"## Service layer",
 			"POST /v1/jobs",
@@ -181,7 +181,7 @@ func TestRequiredDocSections(t *testing.T) {
 			"-resume",
 			"-journal",
 			"-strip",
-			"ndshard/1",
+			"ndshard/2",
 			"## The ndd daemon",
 			"-addr",
 			"-runners",

@@ -17,8 +17,9 @@ import (
 // narrower than Tolerance (relative to the coarse axis span) on every axis
 // or Rounds is exhausted. Every evaluated point runs through the ordinary
 // scenario executor — shared worker pool, deterministic per-trial RNG
-// streams, streaming aggregator — so each point's aggregate, and therefore
-// the whole refinement trace, is bit-identical for any worker count.
+// streams, order-insensitive accumulators — so each point's aggregate, and
+// therefore the whole refinement trace, is bit-identical for any worker
+// count.
 type AdaptiveSpec struct {
 	Name        string      `json:"name"`
 	Description string      `json:"description,omitempty"`

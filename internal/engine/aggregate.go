@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sort"
-
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/timebase"
@@ -53,10 +51,11 @@ type Aggregate struct {
 	// reading the same columns.
 	ExactMode bool `json:"exact_mode,omitempty"`
 
-	// Streamed marks aggregates produced by the bounded-memory streaming
-	// accumulator; their quantiles and CDF latencies are histogram bin
-	// upper edges, accurate to QuantileResolution ticks (see stream.go for
-	// the full accuracy contract). Everything else is exact.
+	// Streamed marks aggregates of quantized points (more than
+	// streamThreshold expected samples): their quantiles and CDF latencies
+	// are bin upper edges, at most QuantileResolution ticks above the
+	// exact order statistic (see accum.go for the full accuracy contract).
+	// Everything else is exact.
 	Streamed           bool           `json:"streamed,omitempty"`
 	QuantileResolution timebase.Ticks `json:"quantile_resolution,omitempty"`
 
@@ -168,7 +167,7 @@ var cdfQuantiles = []float64{0.05, 0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.8
 
 // baseAggregate assembles the trial-independent portion of an Aggregate —
 // the effective spec and the exact schedule-level facts — shared by the
-// exact and streaming finalizers so the two paths cannot drift apart.
+// accumulator's finalizer and the exact-mode synthesis.
 func baseAggregate(sc Scenario, b *built, horizon timebase.Ticks) Aggregate {
 	agg := Aggregate{
 		Scenario:        sc,
@@ -192,99 +191,6 @@ func baseAggregate(sc Scenario, b *built, horizon timebase.Ticks) Aggregate {
 		if agg.ExactWorst > 0 {
 			agg.BoundRatio = float64(agg.ExactWorst) / b.Bound
 		}
-	}
-	return agg
-}
-
-// aggregate pools the per-trial outputs in trial order, so every sum and
-// sort sees the same sequence regardless of which worker ran which trial.
-// It is a thin composition of the exact accumulator state and its
-// finalizer — the same two stages a sharded run serializes between
-// processes — so an unsharded run and a merged shard set cannot drift.
-func aggregate(sc Scenario, b *built, horizon timebase.Ticks, outputs []trialOutput) Aggregate {
-	return aggregateExact(sc, b, horizon, exactStateFromOutputs(sc, b, outputs))
-}
-
-// exactStateFromOutputs folds the trial-indexed outputs into the exact
-// path's mergeable state: the trial-ordered sample pool plus every integer
-// counter the finalizer needs. Concatenating two states covering adjacent
-// trial ranges gives exactly the state of the combined range.
-func exactStateFromOutputs(sc Scenario, b *built, outputs []trialOutput) *ExactState {
-	st := &ExactState{}
-	for i := range outputs {
-		st.Samples = append(st.Samples, outputs[i].samples...)
-		st.Misses += int64(outputs[i].misses)
-		st.Transmissions += int64(outputs[i].transmissions)
-		st.Collided += int64(outputs[i].collided)
-	}
-	if sc.Churn != nil && b.WorstTwoWay > 0 {
-		st.ContactN = make([]int64, len(contactBinEdges))
-		st.ContactD = make([]int64, len(contactBinEdges))
-		worst := float64(b.WorstTwoWay)
-		for i := range outputs {
-			for _, c := range outputs[i].contacts {
-				idx := contactBinIndex(float64(c.Overlap) / worst)
-				st.ContactN[idx]++
-				if c.Discovered {
-					st.ContactD[idx]++
-				}
-			}
-		}
-	}
-	switch b.Mode {
-	case modeMultiChannel:
-		st.ChanDisc = make([]int64, b.MC.Channels)
-		for i := range outputs {
-			if c := outputs[i].channel; c >= 0 && c < len(st.ChanDisc) {
-				st.ChanDisc[c]++
-			}
-		}
-	case modeMultiChannelGroup:
-		st.ChanDisc = make([]int64, b.MC.Channels)
-		st.ChanTx = make([]int64, b.MC.Channels)
-		st.ChanColl = make([]int64, b.MC.Channels)
-		for i := range outputs {
-			for c, n := range outputs[i].chanDisc {
-				st.ChanDisc[c] += int64(n)
-			}
-			for c, l := range outputs[i].perChannel {
-				st.ChanTx[c] += int64(l.Transmissions)
-				st.ChanColl[c] += int64(l.Collided)
-			}
-		}
-	}
-	return st
-}
-
-// aggregateExact finalizes an exact accumulator state covering a point's
-// full trial range. It takes ownership of st.Samples (sorted in place);
-// the counter slices are only read. Sorting erases the trial order, so any
-// state assembled from the same sample multiset and counters — one process
-// or a merged shard set — finalizes to the identical aggregate.
-func aggregateExact(sc Scenario, b *built, horizon timebase.Ticks, st *ExactState) Aggregate {
-	samples := st.Samples
-	// One sort of the pooled samples serves both the quantile stats and
-	// the CDF.
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-
-	agg := baseAggregate(sc, b, horizon)
-	agg.Pairs = len(samples) + int(st.Misses)
-	agg.Latency = sim.CollectSorted(samples, int(st.Misses))
-	agg.Transmissions = int(st.Transmissions)
-	agg.Collided = int(st.Collided)
-	agg.FailureRate = agg.Latency.FailureRate()
-	if st.Transmissions > 0 {
-		agg.CollisionRate = float64(st.Collided) / float64(st.Transmissions)
-	}
-	agg.CDF = empiricalCDF(samples, int(st.Misses))
-	if sc.Churn != nil && b.WorstTwoWay > 0 {
-		agg.ContactBins = contactBinsFromCounters(st.ContactN, st.ContactD)
-	}
-	switch b.Mode {
-	case modeMultiChannel:
-		agg.PerChannel = channelStats(b, st.ChanDisc, nil, nil)
-	case modeMultiChannelGroup:
-		agg.PerChannel = channelStats(b, st.ChanDisc, st.ChanTx, st.ChanColl)
 	}
 	return agg
 }
@@ -339,30 +245,4 @@ func contactBinIndex(x float64) int {
 		}
 	}
 	return idx
-}
-
-// empiricalCDF samples the pooled latency distribution (already sorted
-// ascending) on the quantile grid. Fractions are taken over discovered +
-// missed pairs, so a curve that tops out below 1.0 directly shows the
-// failure mass.
-func empiricalCDF(sorted []timebase.Ticks, misses int) []CDFPoint {
-	if len(sorted) == 0 {
-		return nil
-	}
-	total := float64(len(sorted) + misses)
-	pts := make([]CDFPoint, 0, len(cdfQuantiles))
-	for _, q := range cdfQuantiles {
-		idx := int(q*float64(len(sorted))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		pts = append(pts, CDFPoint{
-			Latency:  sorted[idx],
-			Fraction: float64(idx+1) / total,
-		})
-	}
-	return pts
 }

@@ -28,13 +28,33 @@ func checkCDFContract(t *testing.T, pts []CDFPoint, discovered, total int) {
 	}
 }
 
+// accumCDFs finalizes the samples and misses on a pair point, once with
+// exact keys and once quantized, and returns both CDFs.
+func accumCDFs(t *testing.T, samples []timebase.Ticks, misses int) [][]CDFPoint {
+	t.Helper()
+	p, err := prepare(tinyScenario(1, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cdfs [][]CDFPoint
+	for _, quantize := range []bool{false, true} {
+		acc := newAccum(p.horizon, keyWidth(p.horizon, quantize), 0, 0)
+		for _, s := range samples {
+			acc.add(s)
+		}
+		acc.Misses = int64(misses)
+		cdfs = append(cdfs, acc.aggregate(p.sc, p.b, quantize).CDF)
+	}
+	return cdfs
+}
+
 func TestEmpiricalCDFWithMisses(t *testing.T) {
-	sorted := []timebase.Ticks{10, 20, 30, 40}
-	pts := empiricalCDF(sorted, 6) // 4 discovered of 10 judged
-	checkCDFContract(t, pts, 4, 10)
-	for _, p := range pts {
-		if p.Fraction > 0.4 {
-			t.Fatalf("fraction %v exceeds the discovered mass 0.4", p.Fraction)
+	for _, pts := range accumCDFs(t, []timebase.Ticks{10, 20, 30, 40}, 6) { // 4 discovered of 10 judged
+		checkCDFContract(t, pts, 4, 10)
+		for _, p := range pts {
+			if p.Fraction > 0.4 {
+				t.Fatalf("fraction %v exceeds the discovered mass 0.4", p.Fraction)
+			}
 		}
 	}
 }
@@ -51,14 +71,17 @@ func TestEmpiricalCDFSmallSamples(t *testing.T) {
 		{"three samples two misses", []timebase.Ticks{1, 2, 3}, 2},
 	}
 	for _, tc := range cases {
-		pts := empiricalCDF(tc.sorted, tc.misses)
-		checkCDFContract(t, pts, len(tc.sorted), len(tc.sorted)+tc.misses)
+		for _, pts := range accumCDFs(t, tc.sorted, tc.misses) {
+			checkCDFContract(t, pts, len(tc.sorted), len(tc.sorted)+tc.misses)
+		}
 	}
 }
 
 func TestEmpiricalCDFNoSamples(t *testing.T) {
-	if pts := empiricalCDF(nil, 7); pts != nil {
-		t.Fatalf("all-miss sample set should yield no CDF, got %+v", pts)
+	for _, pts := range accumCDFs(t, nil, 7) {
+		if pts != nil {
+			t.Fatalf("all-miss sample set should yield no CDF, got %+v", pts)
+		}
 	}
 }
 

@@ -188,17 +188,3 @@ func TestJournalPointResult(t *testing.T) {
 		}
 	}
 }
-
-// TestParseStreamMode pins the shared selector the CLI flag and the daemon
-// job spec both resolve through.
-func TestParseStreamMode(t *testing.T) {
-	for in, want := range map[string]StreamMode{"": StreamAuto, "auto": StreamAuto, "on": StreamOn, "off": StreamOff} {
-		got, err := ParseStreamMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseStreamMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseStreamMode("bogus"); err == nil {
-		t.Error("ParseStreamMode accepted an unknown mode")
-	}
-}

@@ -8,28 +8,30 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // The job journal makes long runs crash-resumable: a journaled run writes
-// one ndshard/1 snapshot per completed point into a journal directory
-// (atomically — temp file + rename, so a kill mid-write never leaves a
-// torn entry), and a re-run of the same job finalizes the journaled
+// one ndshard/2 snapshot per completed point into a journal directory
+// (durable.WriteFile, so a kill or crash mid-write never leaves a torn
+// entry), and a re-run of the same job finalizes the journaled
 // points from their snapshots and executes only the missing ones. The
 // resumed document is byte-identical (modulo "runtime" sections) to an
 // uninterrupted run, because the snapshot finalizer is the same code path
 // an unsharded run aggregates through.
 //
 // Layout: <dir>/journal.json is the manifest binding the directory to one
-// job (codec version, label, and a hash over the point list and stream
-// mode), and <dir>/point-NNNN.json is point NNNN's completed snapshot —
+// job (codec version, label, and a hash over the point list), and
+// <dir>/point-NNNN.json is point NNNN's completed snapshot —
 // kind "journal", shard 1/1, exactly one full-range PointSnapshot.
 
 // JournalCodec versions the journal manifest layout.
-const JournalCodec = "ndjournal/1"
+const JournalCodec = "ndjournal/2"
 
 // journalManifest binds a journal directory to one job, so resuming with
-// different scenarios, trial counts, or stream mode is rejected instead of
-// silently mixing results.
+// different scenarios or trial counts is rejected instead of silently
+// mixing results.
 type journalManifest struct {
 	Codec   string `json:"codec"`
 	Label   string `json:"label"`
@@ -37,12 +39,12 @@ type journalManifest struct {
 	Points  int    `json:"points"`
 }
 
-// journalJobHash fingerprints the job: the label, the aggregation-path
-// selector, and every effective scenario's identity and trial count, in
-// order. FNV-64a over a canonical line form.
-func journalJobHash(label string, scenarios []Scenario, opt Options) uint64 {
+// journalJobHash fingerprints the job: the label and every effective
+// scenario's identity and trial count, in order. FNV-64a over a canonical
+// line form.
+func journalJobHash(label string, scenarios []Scenario) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d\n", label, opt.Stream, len(scenarios))
+	fmt.Fprintf(h, "%s|%d\n", label, len(scenarios))
 	for _, sc := range scenarios {
 		fmt.Fprintf(h, "%s|%#x|%d\n", sc.Name, sc.Hash(), sc.Trials)
 	}
@@ -62,15 +64,11 @@ func openJournal(dir string, want journalManifest) error {
 	path := filepath.Join(dir, "journal.json")
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		tmp := path + ".tmp"
 		var buf bytes.Buffer
 		if err := writeIndentedJSON(&buf, want); err != nil {
 			return err
 		}
-		if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, path)
+		return durable.WriteFile(path, buf.Bytes())
 	}
 	if err != nil {
 		return err
@@ -127,7 +125,7 @@ func RunJournaled(label string, scenarios []Scenario, opt Options, dir string) (
 	if err := openJournal(dir, journalManifest{
 		Codec:   JournalCodec,
 		Label:   label,
-		JobHash: journalJobHash(label, eff, o),
+		JobHash: journalJobHash(label, eff),
 		Points:  len(eff),
 	}); err != nil {
 		return nil, err

@@ -115,6 +115,26 @@ func TestJournalJobMismatch(t *testing.T) {
 	}
 }
 
+// A journal written by the previous layout (ndjournal/1, whose job hash
+// folded a stream mode and whose entries are ndshard/1) is refused with the
+// codec's unsupported-codec error rather than resumed.
+func TestJournalRejectsPreviousCodec(t *testing.T) {
+	sp := journalSweep()
+	scenarios, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	manifest := `{"codec": "ndjournal/1", "label": "journal-sweep", "job_hash": 1234, "points": 4}`
+	if err := os.WriteFile(filepath.Join(dir, "journal.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunJournaled(sp.Name, scenarios, Options{Workers: 2}, dir)
+	if err == nil || !strings.Contains(err.Error(), `unsupported codec "ndjournal/1"`) {
+		t.Fatalf("ndjournal/1 manifest: got %v, want the unsupported-codec error", err)
+	}
+}
+
 // A torn or tampered journal entry fails the resume loudly.
 func TestJournalCorruptEntry(t *testing.T) {
 	sp := journalSweep()

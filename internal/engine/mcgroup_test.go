@@ -23,7 +23,7 @@ func crowdScenario(t *testing.T) Scenario {
 // TestMultiChannelGroupWorkerInvariance extends the engine's determinism
 // contract to the multi-node multi-channel kinds: aggregates — including
 // the per-channel collision accounting — are byte-identical between 1 and
-// 8 workers, on both aggregation paths.
+// 8 workers.
 func TestMultiChannelGroupWorkerInvariance(t *testing.T) {
 	crowd := crowdScenario(t)
 	crowd.Trials = 12
@@ -33,18 +33,16 @@ func TestMultiChannelGroupWorkerInvariance(t *testing.T) {
 	}
 	churn.Trials = 12
 	for _, sc := range []Scenario{crowd, churn} {
-		for _, mode := range []StreamMode{StreamOff, StreamOn} {
-			serial, err := RunScenario(sc, Options{Workers: 1, Stream: mode})
-			if err != nil {
-				t.Fatalf("%s serial: %v", sc.Name, err)
-			}
-			parallel, err := RunScenario(sc, Options{Workers: 8, Stream: mode})
-			if err != nil {
-				t.Fatalf("%s parallel: %v", sc.Name, err)
-			}
-			if !bytes.Equal(marshalAgg(t, serial), marshalAgg(t, parallel)) {
-				t.Errorf("%s (stream=%v): aggregates differ between 1 and 8 workers", sc.Name, mode)
-			}
+		serial, err := RunScenario(sc, Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s serial: %v", sc.Name, err)
+		}
+		parallel, err := RunScenario(sc, Options{Workers: 8})
+		if err != nil {
+			t.Fatalf("%s parallel: %v", sc.Name, err)
+		}
+		if !bytes.Equal(marshalAgg(t, serial), marshalAgg(t, parallel)) {
+			t.Errorf("%s: aggregates differ between 1 and 8 workers", sc.Name)
 		}
 	}
 }
@@ -119,15 +117,16 @@ func TestMultiChannelGroupMatchesSerialTrials(t *testing.T) {
 }
 
 // TestMultiChannelGroupPerChannelConsistency: per-channel rows sum to the
-// pooled totals on both aggregation paths.
+// pooled totals with exact and with quantized keys.
 func TestMultiChannelGroupPerChannelConsistency(t *testing.T) {
 	sc := crowdScenario(t)
 	sc.Trials = 15
-	for _, mode := range []StreamMode{StreamOff, StreamOn} {
-		agg, err := RunScenario(sc, Options{Stream: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+	exact, err := RunScenario(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, agg := range []Aggregate{exact, runQuantized(t, sc)} {
+		mode := agg.Streamed
 		var tx, coll, disc int
 		for _, row := range agg.PerChannel {
 			tx += row.Transmissions

@@ -3,7 +3,6 @@ package engine
 import (
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -19,13 +18,6 @@ import (
 // defaultProgressInterval is the Progress snapshot period when
 // Options.ProgressInterval is unset.
 const defaultProgressInterval = 500 * time.Millisecond
-
-// trialOutputBytes is the struct-header size of one materialized trial
-// output — the unit of the exact path's accumulator-memory estimate. The
-// per-trial slices it points at die with aggregation and are deliberately
-// not counted: the metric tracks the trial-indexed state whose footprint
-// scales with the trial count, which is what streaming mode bounds.
-var trialOutputBytes = int64(unsafe.Sizeof(trialOutput{}))
 
 // runRecorder collects one runMany invocation's RunMetrics and drives the
 // Progress callback. Counters are atomics updated from the worker pool;
@@ -45,9 +37,8 @@ type runRecorder struct {
 	// utilization; a well-fed pool sits near 1.0 everywhere.
 	busyNS []atomic.Int64
 
-	// accumCur tracks the live aggregation-state estimate (materialized
-	// trial-output slices plus streaming accumulators); accumPeak its
-	// high-water mark.
+	// accumCur tracks the live aggregation-state estimate (the workers'
+	// accumulators, see Accum.approxBytes); accumPeak its high-water mark.
 	accumCur  atomic.Int64
 	accumPeak atomic.Int64
 
@@ -167,7 +158,7 @@ func (r *runRecorder) metrics(points []*point) obs.RunMetrics {
 		m.WorkerBusy[w] = f
 	}
 	for _, p := range points {
-		if p.stream {
+		if p.quantized {
 			m.StreamedPoints++
 		} else {
 			m.ExactPoints++

@@ -43,18 +43,19 @@ func TestRunMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestMetricsStreamedPath: forcing the streaming aggregator is visible in
-// the path split and still reports a bounded peak-memory estimate.
+// TestMetricsStreamedPath: a quantized point is visible in the path split,
+// and the peak-memory estimate stays bounded by bins: two workers'
+// quantized accumulators plus the smaller crowd point's.
 func TestMetricsStreamedPath(t *testing.T) {
 	var m obs.RunMetrics
-	if _, err := RunScenario(groupScenario(), Options{Workers: 2, Stream: StreamOn, Metrics: &m}); err != nil {
+	if _, err := RunSuite([]Scenario{quantizedScenario(), groupScenario()}, Options{Workers: 2, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
-	if m.StreamedPoints != 1 || m.ExactPoints != 0 {
-		t.Errorf("forced streaming not reflected: %+v", m)
+	if m.StreamedPoints != 1 || m.ExactPoints != 1 {
+		t.Errorf("quantized point not reflected in the path split: %+v", m)
 	}
-	if m.PeakAccumBytes <= 0 {
-		t.Errorf("streaming accumulators not accounted: %+v", m)
+	if m.PeakAccumBytes <= 0 || m.PeakAccumBytes > 3*(streamBins*32+1024) {
+		t.Errorf("peak accumulator estimate %d not bounded by the points' bins: %+v", m.PeakAccumBytes, m)
 	}
 }
 

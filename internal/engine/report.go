@@ -343,7 +343,7 @@ func RenderRunMetrics(m obs.RunMetrics) string {
 	}
 	fmt.Fprintf(&b, "  build cache: %d hits, %d misses, %d evictions\n",
 		m.BuildCache.Hits, m.BuildCache.Misses, m.BuildCache.Evictions)
-	fmt.Fprintf(&b, "  aggregation: %d streamed, %d exact; peak accumulator state %s\n",
+	fmt.Fprintf(&b, "  aggregation: %d quantized, %d exact-key; peak accumulator state %s\n",
 		m.StreamedPoints, m.ExactPoints, formatBytes(m.PeakAccumBytes))
 	if m.MemoHits > 0 {
 		fmt.Fprintf(&b, "  adaptive memo: %d hits\n", m.MemoHits)

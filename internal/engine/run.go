@@ -25,10 +25,8 @@ import (
 var ErrCanceled = errors.New("engine: run canceled")
 
 // Options tunes execution without changing what is computed — except
-// Trials, which (when set) overrides every scenario's trial count and is
-// folded into the effective scenario before anything is derived from it,
-// and Stream, which trades quantile resolution for bounded memory (see
-// stream.go for the accuracy contract). Results stay bit-identical across
+// Trials and Exact, which (when set) are folded into the effective scenario
+// before anything is derived from it. Results stay bit-identical across
 // worker counts under every setting.
 type Options struct {
 	// Workers is the goroutine count sharding the trials; ≤ 0 means
@@ -45,11 +43,6 @@ type Options struct {
 	// Monte-Carlo trials — crowds, churn, any channel model, lossy
 	// schedules — fail loudly instead of silently degrading.
 	Exact bool
-
-	// Stream selects the aggregation strategy: StreamAuto engages the
-	// bounded-memory streaming accumulator above streamThreshold expected
-	// samples, StreamOn/StreamOff force it.
-	Stream StreamMode
 
 	// Progress, when non-nil, receives serialized execution-progress
 	// snapshots: one when trial execution starts, one per
@@ -120,33 +113,18 @@ func canceledErr(rec *runRecorder) error {
 	return fmt.Errorf("%w after %d of %d trials", ErrCanceled, rec.trialsDone.Load(), rec.trialsTotal)
 }
 
-// trialOutput is one trial's contribution, stored at its trial index (or
-// folded straight into a streaming accumulator) so aggregation order — and
-// therefore every float sum — is independent of worker scheduling.
-type trialOutput struct {
-	samples                 []timebase.Ticks
-	misses                  int
-	transmissions, collided int
-	contacts                []sim.Contact
-	channel                 int               // discovery channel (multi-channel pair kind); -1 otherwise
-	perChannel              []sim.ChannelLoad // per-channel traffic (multi-node multi-channel kinds)
-	chanDisc                []int             // per-channel discovery counts (multi-node multi-channel kinds)
-	err                     error
-}
-
 // point is one prepared unit of scheduling: an effective scenario with its
-// built schedules, resolved horizon and stay, and either a trial-indexed
-// output slice (exact aggregation) or nothing at all (streaming — workers
-// fold trials into their own accumulators; see runMany).
+// built schedules, resolved horizon and stay, and its workers'
+// accumulators (see runMany).
 type point struct {
-	sc      Scenario
-	b       *built
-	cfg     sim.Config
-	stay    timebase.Ticks
-	horizon timebase.Ticks
-	hash    uint64
-	stream  bool
-	exact   bool // answered from the analysis; lo == hi == Trials == 0
+	sc        Scenario
+	b         *built
+	cfg       sim.Config
+	stay      timebase.Ticks
+	horizon   timebase.Ticks
+	hash      uint64
+	quantized bool // keys are bins, not exact ticks (see accum.go)
+	exact     bool // answered from the analysis; lo == hi == Trials == 0
 
 	// idx is the point's index in the run's input order; lo/hi is the
 	// half-open trial range this process executes (the full [0, Trials)
@@ -159,16 +137,14 @@ type point struct {
 	result  func(idx int, agg Aggregate)
 	snap    *PointSnapshot
 
-	// outputs (exact mode) and accs (streaming mode, one accumulator slot
-	// per worker — only worker w touches accs[w]) are allocated by the
-	// feeder just before the point's first trial is enqueued, and released
-	// by the worker that finishes the point's last trial, which aggregates
-	// into agg. Keeping at most the in-flight points materialized
-	// preserves the old serial RunSuite's peak-memory behavior (one
-	// point's state at a time, up to worker lookahead) for arbitrarily
-	// long suites and sweeps.
-	outputs   []trialOutput
-	accs      []*streamAccum
+	// accs (one accumulator slot per worker — only worker w touches
+	// accs[w]) is allocated by the feeder just before the point's first
+	// trial is enqueued, and released by the worker that finishes the
+	// point's last trial, which aggregates into agg. Keeping at most the
+	// in-flight points materialized bounds memory by one point's state at
+	// a time, up to worker lookahead, for arbitrarily long suites and
+	// sweeps.
+	accs      []*Accum
 	remaining atomic.Int64
 	agg       Aggregate
 
@@ -197,75 +173,58 @@ func (p *point) recordErr(trial int, err error) {
 }
 
 // finalize runs on the worker that finished the point's last trial: it
-// aggregates the trial state, attaches the point's runtime record, and
-// releases the state (returning its memory estimate to the recorder).
-// Failed points skip aggregation but still settle the memory accounting.
+// merges the workers' accumulators, aggregates, attaches the point's
+// runtime record, and releases the state (returning its memory estimate to
+// the recorder). Failed points skip aggregation but still settle the
+// memory accounting.
 func (p *point) finalize(rec *runRecorder) {
-	if p.failed.Load() {
-		var freed int64
-		if p.stream {
-			for _, acc := range p.accs {
-				if acc != nil {
-					freed += acc.approxBytes()
-				}
-			}
-		} else {
-			freed = int64(len(p.outputs)) * trialOutputBytes
+	var held int64 // accumulator bytes accounted to the recorder
+	for _, a := range p.accs {
+		if a != nil {
+			held += a.approxBytes()
 		}
-		rec.accumRelease(freed)
-		p.outputs, p.accs = nil, nil
+	}
+	defer rec.accumRelease(held)
+	accs := p.accs
+	p.accs = nil
+	if p.failed.Load() {
 		return
 	}
-	if p.stream {
-		merged := newStreamAccum(p.horizon, p.contactWorst(), p.chanCount())
-		rec.accumAdd(merged.approxBytes())
-		freed := merged.approxBytes()
-		for _, acc := range p.accs {
-			if acc != nil {
-				freed += acc.approxBytes()
-			}
-			if err := merged.merge(acc); err != nil {
+	// Merging is order-insensitive integer state, so which accumulator
+	// absorbs the others cannot change the aggregate: the one holding the
+	// most keys does, which re-inserts the fewest.
+	var acc *Accum
+	for _, a := range accs {
+		if a != nil && (acc == nil || len(a.Counts) > len(acc.Counts)) {
+			acc = a
+		}
+	}
+	for _, a := range accs {
+		if a != nil && a != acc {
+			if err := acc.merge(a); err != nil {
 				// Unreachable by construction — every per-worker
 				// accumulator of a point shares one layout — but a merge
 				// refusal must fail the point, not corrupt it.
 				p.recordErr(p.lo, err)
-				rec.accumRelease(freed)
-				p.accs = nil
 				return
 			}
 		}
-		if p.capture {
-			p.snap = p.makeSnapshot()
-			p.snap.Stream = merged.state()
+	}
+	if acc == nil {
+		acc = p.newAccum() // no trial ran here: an empty shard range or an exact point
+	}
+	if p.capture {
+		p.snap = p.makeSnapshot(acc)
+	}
+	if p.fullRange() {
+		if p.exact {
+			// The snapshot keeps the empty (but layout-valid) accumulator
+			// so shard merges work unchanged; the aggregate comes from the
+			// analysis, not from the zero samples.
+			p.agg = aggregateAnalysis(p.sc, p.b, p.horizon)
+		} else {
+			p.agg = acc.aggregate(p.sc, p.b, p.quantized)
 		}
-		if p.fullRange() {
-			p.agg = aggregateStream(p.sc, p.b, p.horizon, merged)
-		}
-		rec.accumRelease(freed)
-		p.accs = nil
-	} else {
-		st := exactStateFromOutputs(p.sc, p.b, p.outputs)
-		if p.capture {
-			p.snap = p.makeSnapshot()
-			p.snap.Exact = st
-			if p.fullRange() {
-				// aggregateExact sorts Samples in place; the snapshot must
-				// keep trial order, so the aggregate gets its own copy.
-				st = st.clone()
-			}
-		}
-		if p.fullRange() {
-			if p.exact {
-				// The snapshot keeps the empty (but layout-valid) exact
-				// state so shard merges work unchanged; the aggregate
-				// comes from the analysis, not from the zero samples.
-				p.agg = aggregateAnalysis(p.sc, p.b, p.horizon)
-			} else {
-				p.agg = aggregateExact(p.sc, p.b, p.horizon, st)
-			}
-		}
-		rec.accumRelease(int64(len(p.outputs)) * trialOutputBytes)
-		p.outputs = nil
 	}
 	// Runtime is a trial-execution record; an exact point never starts a
 	// trial, so it carries none.
@@ -293,9 +252,8 @@ func (p *point) finalize(rec *runRecorder) {
 // partial (sharded) ranges export state only and never aggregate.
 func (p *point) fullRange() bool { return p.lo == 0 && p.hi == p.sc.Trials }
 
-// makeSnapshot exports the point's identity and range; the caller attaches
-// the accumulator state.
-func (p *point) makeSnapshot() *PointSnapshot {
+// makeSnapshot exports the point's identity, range and merged accumulator.
+func (p *point) makeSnapshot(acc *Accum) *PointSnapshot {
 	return &PointSnapshot{
 		Name:     p.sc.Name,
 		Scenario: p.sc,
@@ -303,7 +261,7 @@ func (p *point) makeSnapshot() *PointSnapshot {
 		Trials:   p.sc.Trials,
 		TrialLo:  p.lo,
 		TrialHi:  p.hi,
-		Streamed: p.stream,
+		Accum:    acc,
 	}
 }
 
@@ -374,20 +332,18 @@ func prepare(sc Scenario, opt Options) (*point, error) {
 		lo, hi = opt.shard.Range(sc.Trials)
 	}
 	p := &point{
-		sc:      sc,
-		b:       b,
-		stay:    stay,
-		horizon: horizon,
-		hash:    sc.Hash(),
-		exact:   sc.Exact,
-		// Exact points carry the (empty) exact-path state in snapshots, so
-		// a forced -stream on never switches them to the streaming form.
-		stream:  !sc.Exact && useStream(sc, opt),
-		lo:      lo,
-		hi:      hi,
-		capture: opt.capture,
-		done:    opt.pointDone,
-		result:  opt.PointResult,
+		sc:        sc,
+		b:         b,
+		stay:      stay,
+		horizon:   horizon,
+		hash:      sc.Hash(),
+		quantized: quantized(sc),
+		exact:     sc.Exact,
+		lo:        lo,
+		hi:        hi,
+		capture:   opt.capture,
+		done:      opt.pointDone,
+		result:    opt.PointResult,
 		cfg: sim.Config{
 			Horizon:          horizon,
 			Collisions:       sc.Channel.Collisions,
@@ -400,10 +356,15 @@ func prepare(sc Scenario, opt Options) (*point, error) {
 	return p, nil
 }
 
+// newAccum lays out an empty accumulator for the point.
+func (p *point) newAccum() *Accum {
+	return newAccum(p.horizon, keyWidth(p.horizon, p.quantized), p.contactWorst(), p.chanCount())
+}
+
 // contactWorst is the contact-bin scale: the exact worst case, when the
 // schedule is deterministic. Zero disables contact binning. Kept in ticks
-// so streamAccum stays all-integer (mergeable state must be exact); the
-// one consumer divides in float space at use.
+// so Accum stays all-integer (mergeable state must be exact); the one
+// consumer divides in float space at use.
 func (p *point) contactWorst() timebase.Ticks {
 	if p.sc.Churn == nil || p.b.WorstTwoWay <= 0 {
 		return 0
@@ -423,8 +384,8 @@ func (p *point) chanCount() int {
 // workItem addresses one contiguous window of trials of one point. Workers
 // claim whole windows, amortizing the per-item scheduling cost (channel
 // receive, accumulator lookup, point bookkeeping) over batchSize trials;
-// outputs stay trial-indexed and streaming accumulators are order-
-// insensitive integer state, so batching cannot change any aggregate.
+// accumulators are order-insensitive integer state, so batching cannot
+// change any aggregate.
 type workItem struct {
 	p      *point
 	lo, hi int // half-open trial window
@@ -453,10 +414,9 @@ func batchSize(trials, workers int) int {
 // runMany is the scenario-level scheduler: it prepares every scenario,
 // then runs all their trials over ONE shared worker pool, so small and
 // large sweep points fill the same cores instead of executing scenario by
-// scenario. Exact-mode trials land at their trial index; streaming-mode
-// trials fold into per-worker accumulators merged when the point's last
-// trial completes — both orderings make every aggregate bit-identical for
-// any worker count.
+// scenario. Trials fold into per-worker accumulators merged when the
+// point's last trial completes; the merge is order-insensitive integer
+// state, so every aggregate is bit-identical for any worker count.
 func runMany(scenarios []Scenario, opt Options) ([]Aggregate, error) {
 	points, err := runPoints(scenarios, opt)
 	if err != nil {
@@ -552,12 +512,7 @@ func runPoints(scenarios []Scenario, opt Options) ([]*point, error) {
 			// Allocated here, not in prepare: the bounded channel
 			// throttles the feeder, so only in-flight points hold their
 			// trial state.
-			if p.stream {
-				p.accs = make([]*streamAccum, workers)
-			} else {
-				p.outputs = make([]trialOutput, p.hi-p.lo)
-				rec.accumAdd(int64(p.hi-p.lo) * trialOutputBytes)
-			}
+			p.accs = make([]*Accum, workers)
 			bs := batchSize(p.hi-p.lo, workers)
 			for t := p.lo; t < p.hi; t += bs {
 				hi := t + bs
@@ -604,33 +559,27 @@ func runPoints(scenarios []Scenario, opt Options) ([]*point, error) {
 				t0 := rec.sinceNS()
 				p.startNS.CompareAndSwap(0, t0+1)
 				// Per-batch state shared by the window's trials: the
-				// streaming accumulator is fetched (or created) once.
-				var acc *streamAccum
-				if p.stream {
-					acc = p.accs[w]
-					if acc == nil {
-						acc = newStreamAccum(p.horizon, p.contactWorst(), p.chanCount())
-						rec.accumAdd(acc.approxBytes())
-						p.accs[w] = acc
-					}
+				// worker's accumulator is fetched (or created) once, and
+				// its growth is accounted once.
+				acc := p.accs[w]
+				var size int64
+				if acc == nil {
+					acc = p.newAccum()
+					p.accs[w] = acc
+				} else {
+					size = acc.approxBytes()
 				}
 				for trial := it.lo; trial < it.hi; trial++ {
-					out := runTrial(p.sc, p.b, p.cfg, p.stay, p.hash, trial, scr)
-					switch {
-					case out.err != nil:
-						p.recordErr(trial, out.err)
-					case p.stream:
-						acc.absorb(out)
-					default:
-						p.outputs[trial-p.lo] = out
+					if err := runTrial(p.sc, p.b, p.cfg, p.stay, p.hash, trial, scr, acc); err != nil {
+						p.recordErr(trial, err)
 					}
 					rec.trialsDone.Add(1)
 				}
+				rec.accumAdd(acc.approxBytes() - size)
 				// The worker finishing the point's last trial aggregates
 				// and releases it. The atomic counter orders every
-				// outputs[t]/accs[w] write before the final decrement,
-				// and both trial-ordered exact aggregation and the
-				// order-insensitive accumulator merge are independent of
+				// accs[w] write before the final decrement, and the
+				// order-insensitive accumulator merge is independent of
 				// which worker finalizes.
 				if p.remaining.Add(int64(it.lo-it.hi)) == 0 {
 					p.finalize(rec)
@@ -679,25 +628,25 @@ func RunSuite(scenarios []Scenario, opt Options) ([]Aggregate, error) {
 }
 
 // runTrial executes one trial on its own deterministic RNG stream, drawn
-// from the worker's arena: reseeding the arena's splitmix source in place
-// yields the exact stream a fresh rand.New(sim.NewFastSource(seed)) would
-// (the default math/rand source costs ~25 µs of seeding per instantiation,
-// which dominated the per-trial budget), and the sim buffers are reused
-// across the worker's trials.
-func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash uint64, trial int, scr *sim.Scratch) trialOutput {
+// from the worker's arena, and adds its outcome into the worker's
+// accumulator: reseeding the arena's splitmix source in place yields the
+// exact stream a fresh rand.New(sim.NewFastSource(seed)) would (the default
+// math/rand source costs ~25 µs of seeding per instantiation, which
+// dominated the per-trial budget), and the sim buffers are reused across
+// the worker's trials. A failed trial adds nothing.
+func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash uint64, trial int, scr *sim.Scratch, acc *Accum) error {
 	rng := scr.Rand(trialSeed(hash, trial))
-	out := trialOutput{channel: -1}
 	switch {
 	case b.Mode == modeMultiChannel:
 		oc, err := sim.MultiChannelPairTrialScratch(b.MC, cfg.Horizon, rng, scr)
 		if err != nil {
-			return trialOutput{channel: -1, err: err}
+			return err
 		}
 		if oc.Discovered {
-			out.samples = []timebase.Ticks{oc.Latency}
-			out.channel = oc.Channel
+			acc.add(oc.Latency)
+			acc.ChanDisc[oc.Channel]++
 		} else {
-			out.misses = 1
+			acc.Misses++
 		}
 
 	case b.Mode == modeMultiChannelGroup:
@@ -709,41 +658,40 @@ func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash u
 			res, err = sim.MultiChannelGroupTrialScratch(b.MC, sc.Population, cfg, rng, scr)
 		}
 		if err != nil {
-			return trialOutput{channel: -1, err: err}
+			return err
 		}
-		out.samples = res.Samples
-		out.misses = res.Misses
-		out.contacts = res.Contacts
-		out.transmissions = res.Transmissions
-		out.collided = res.Collided
-		out.perChannel = res.PerChannel
-		out.chanDisc = res.Discoveries
+		for _, lat := range res.Samples {
+			acc.add(lat)
+		}
+		acc.Misses += int64(res.Misses)
+		acc.addContacts(res.Contacts)
+		acc.Transmissions += int64(res.Transmissions)
+		acc.Collided += int64(res.Collided)
+		for c, n := range res.Discoveries {
+			acc.ChanDisc[c] += int64(n)
+		}
+		for c, l := range res.PerChannel {
+			acc.ChanTx[c] += int64(l.Transmissions)
+			acc.ChanColl[c] += int64(l.Collided)
+		}
 
 	case b.Mode == modeSlotGrid:
 		at, ok, err := b.SlotPair.TrialScratch(cfg.Horizon, rng, scr)
 		if err != nil {
-			return trialOutput{channel: -1, err: err}
+			return err
 		}
-		if ok {
-			out.samples = []timebase.Ticks{at}
-		} else {
-			out.misses = 1
-		}
+		acc.addOutcome(at, ok)
 
 	case sc.Churn != nil:
 		contacts, res, err := sim.ChurnTrialScratch(b.E, sc.Population, stay, cfg, rng, scr)
 		if err != nil {
-			return trialOutput{err: err}
+			return err
 		}
-		out.contacts = contacts
-		out.transmissions = res.Transmissions
-		out.collided = res.Collided
+		acc.addContacts(contacts)
+		acc.Transmissions += int64(res.Transmissions)
+		acc.Collided += int64(res.Collided)
 		for _, c := range contacts {
-			if c.Discovered {
-				out.samples = append(out.samples, c.Latency)
-			} else {
-				out.misses++
-			}
+			acc.addOutcome(c.Latency, c.Discovered)
 		}
 
 	case sc.Population == 2:
@@ -753,25 +701,23 @@ func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash u
 		at, ok, err := sim.PairTrialScratch(
 			schedule.Device{B: b.E.B}, schedule.Device{C: b.F.C}, cfg, rng, scr)
 		if err != nil {
-			return trialOutput{err: err}
+			return err
 		}
-		if ok {
-			out.samples = []timebase.Ticks{at}
-		} else {
-			out.misses = 1
-		}
+		acc.addOutcome(at, ok)
 
 	default:
 		tr, err := sim.GroupTrialScratch(b.E, sc.Population, cfg, rng, scr)
 		if err != nil {
-			return trialOutput{err: err}
+			return err
 		}
-		out.samples = tr.Samples
-		out.misses = tr.Misses
-		out.transmissions = tr.Transmissions
-		out.collided = tr.Collided
+		for _, lat := range tr.Samples {
+			acc.add(lat)
+		}
+		acc.Misses += int64(tr.Misses)
+		acc.Transmissions += int64(tr.Transmissions)
+		acc.Collided += int64(tr.Collided)
 	}
-	return out
+	return nil
 }
 
 func resolveHorizon(sc Scenario, b *built) (timebase.Ticks, error) {

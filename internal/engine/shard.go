@@ -11,23 +11,21 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/timebase"
+	"repro/internal/durable"
 )
 
 // This file is the shard/merge execution layer: it splits any scenario
 // list, sweep, or adaptive round across processes by trial-index range,
-// serializes each process's accumulator state as a versioned ndshard/1
+// serializes each process's accumulator state as a versioned ndshard/2
 // snapshot, and merges snapshot sets into results byte-identical to an
 // unsharded run.
 //
 // Why this is exact and not approximate: the engine's determinism contract
 // already makes every trial independent of scheduling — trial t of a
 // scenario runs on the RNG stream seeded from (spec hash, t) no matter
-// which worker or process executes it. Aggregation is either a function of
-// the sample multiset plus integer counters (the exact path sorts before
-// computing anything order-sensitive) or an all-integer mergeable
-// accumulator (the streaming path). Both are closed under concatenation /
-// merge of disjoint trial ranges, so shard k of n simply runs the
+// which worker or process executes it. Aggregation is a function of one
+// all-integer accumulator (accum.go), which is closed under merging
+// disjoint trial ranges, so shard k of n simply runs the
 // contiguous range [⌊(k−1)·T/n⌋, ⌊k·T/n⌋) and exports its state; the merge
 // reassembles the full-range state and runs the same finalizer an
 // unsharded run would. Byte-identity (after StripRuntime) is asserted by
@@ -46,7 +44,7 @@ import (
 // SnapshotCodec is the ndshard serialization version. Decoding rejects
 // every other value: snapshot state is accumulator internals, and reading
 // a future layout as the current one would corrupt results silently.
-const SnapshotCodec = "ndshard/1"
+const SnapshotCodec = "ndshard/2"
 
 // Snapshot kinds: what produced the contained point snapshots, which
 // decides how a merge finalizes them.
@@ -111,169 +109,10 @@ func (s ShardSpec) Range(trials int) (lo, hi int) {
 
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.K, s.N) }
 
-// ExactState is the exact aggregation path's mergeable accumulator: the
-// trial-ordered latency sample pool plus every integer counter the
-// finalizer consumes. States of adjacent trial ranges merge by
-// concatenating samples (in shard order — trial order is preserved) and
-// adding counters; the finalizer sorts, so the merged aggregate is
-// byte-identical to the unsharded one.
-type ExactState struct {
-	Samples       []timebase.Ticks `json:"samples,omitempty"` // trial-ordered
-	Misses        int64            `json:"misses,omitempty"`
-	Transmissions int64            `json:"transmissions,omitempty"`
-	Collided      int64            `json:"collided,omitempty"`
-	ContactN      []int64          `json:"contact_n,omitempty"` // per contactBinEdges bin
-	ContactD      []int64          `json:"contact_d,omitempty"`
-	ChanDisc      []int64          `json:"chan_disc,omitempty"` // per advertising channel
-	ChanTx        []int64          `json:"chan_tx,omitempty"`
-	ChanColl      []int64          `json:"chan_coll,omitempty"`
-}
-
-// validate checks internal consistency: non-negative counters and matched
-// counter-array pairs. Scenario-dependent layout (channel counts, contact
-// gating) is checked at finalization, where the schedule is built.
-func (st *ExactState) validate() error {
-	if st.Misses < 0 || st.Transmissions < 0 || st.Collided < 0 {
-		return errors.New("negative counter")
-	}
-	if len(st.ContactN) != len(st.ContactD) {
-		return fmt.Errorf("contact_n has %d bins, contact_d %d", len(st.ContactN), len(st.ContactD))
-	}
-	if len(st.ContactN) != 0 && len(st.ContactN) != len(contactBinEdges) {
-		return fmt.Errorf("contact bins: got %d, want %d", len(st.ContactN), len(contactBinEdges))
-	}
-	if len(st.ChanTx) != len(st.ChanColl) {
-		return fmt.Errorf("chan_tx has %d channels, chan_coll %d", len(st.ChanTx), len(st.ChanColl))
-	}
-	if len(st.ChanTx) != 0 && len(st.ChanTx) != len(st.ChanDisc) {
-		return fmt.Errorf("chan_tx has %d channels, chan_disc %d", len(st.ChanTx), len(st.ChanDisc))
-	}
-	for _, counts := range [][]int64{st.ContactN, st.ContactD, st.ChanDisc, st.ChanTx, st.ChanColl} {
-		for _, n := range counts {
-			if n < 0 {
-				return errors.New("negative counter")
-			}
-		}
-	}
-	return nil
-}
-
-// merge appends b's trial range onto st's. The two states must describe
-// the same scenario (the caller has checked the spec hash), so their
-// counter layouts must agree; a mismatch means a corrupted snapshot.
-func (st *ExactState) merge(b *ExactState) error {
-	if len(st.ContactN) != len(b.ContactN) || len(st.ChanDisc) != len(b.ChanDisc) || len(st.ChanTx) != len(b.ChanTx) {
-		return fmt.Errorf("engine: merging exact states with mismatched counter layouts (%d/%d/%d vs %d/%d/%d contact/disc/tx bins)",
-			len(st.ContactN), len(st.ChanDisc), len(st.ChanTx), len(b.ContactN), len(b.ChanDisc), len(b.ChanTx))
-	}
-	st.Samples = append(st.Samples, b.Samples...)
-	st.Misses += b.Misses
-	st.Transmissions += b.Transmissions
-	st.Collided += b.Collided
-	for i := range st.ContactN {
-		st.ContactN[i] += b.ContactN[i]
-		st.ContactD[i] += b.ContactD[i]
-	}
-	for i := range st.ChanDisc {
-		st.ChanDisc[i] += b.ChanDisc[i]
-	}
-	for i := range st.ChanTx {
-		st.ChanTx[i] += b.ChanTx[i]
-		st.ChanColl[i] += b.ChanColl[i]
-	}
-	return nil
-}
-
-// clone deep-copies the state (the finalizer sorts Samples in place, so a
-// snapshot that must keep trial order hands the finalizer a clone).
-func (st *ExactState) clone() *ExactState {
-	c := *st
-	c.Samples = append([]timebase.Ticks(nil), st.Samples...)
-	c.ContactN = copyCounts(st.ContactN)
-	c.ContactD = copyCounts(st.ContactD)
-	c.ChanDisc = copyCounts(st.ChanDisc)
-	c.ChanTx = copyCounts(st.ChanTx)
-	c.ChanColl = copyCounts(st.ChanColl)
-	return &c
-}
-
-// StreamState is the streaming accumulator's serialized form: the exact
-// field-for-field image of a streamAccum, all-integer and mergeable (the
-// 128-bit latency sum travels as its two uint64 halves — encoding/json
-// round-trips uint64 exactly).
-type StreamState struct {
-	Horizon  timebase.Ticks `json:"horizon"`
-	BinWidth timebase.Ticks `json:"bin_width"`
-	Worst    timebase.Ticks `json:"worst,omitempty"`
-
-	Count  int64          `json:"count"`
-	Misses int64          `json:"misses,omitempty"`
-	SumLo  uint64         `json:"sum_lo"`
-	SumHi  uint64         `json:"sum_hi,omitempty"`
-	Min    timebase.Ticks `json:"min"`
-	Max    timebase.Ticks `json:"max"`
-
-	Bins []int64 `json:"bins"`
-
-	Transmissions int64 `json:"transmissions,omitempty"`
-	Collided      int64 `json:"collided,omitempty"`
-
-	ContactN []int64 `json:"contact_n"`
-	ContactD []int64 `json:"contact_d"`
-
-	ChanDisc []int64 `json:"chan_disc,omitempty"`
-	ChanTx   []int64 `json:"chan_tx,omitempty"`
-	ChanColl []int64 `json:"chan_coll,omitempty"`
-}
-
-// validate checks internal consistency: the fixed histogram layout, the
-// count/histogram invariant (every sample lands in exactly one bin), and
-// non-negative counters — everything decodable input could violate without
-// reference to the scenario.
-func (s *StreamState) validate() error {
-	if s.BinWidth < 1 {
-		return fmt.Errorf("bin width %d < 1", s.BinWidth)
-	}
-	if len(s.Bins) != streamBins {
-		return fmt.Errorf("histogram has %d bins, want %d", len(s.Bins), streamBins)
-	}
-	if s.Count < 0 || s.Misses < 0 || s.Transmissions < 0 || s.Collided < 0 {
-		return errors.New("negative counter")
-	}
-	var total int64
-	for _, n := range s.Bins {
-		if n < 0 {
-			return errors.New("negative histogram bin")
-		}
-		total += n
-	}
-	if total != s.Count {
-		return fmt.Errorf("histogram holds %d samples, count says %d", total, s.Count)
-	}
-	if s.Count > 0 && s.Min > s.Max {
-		return fmt.Errorf("min %d > max %d", s.Min, s.Max)
-	}
-	if len(s.ContactN) != len(contactBinEdges) || len(s.ContactD) != len(contactBinEdges) {
-		return fmt.Errorf("contact bins: got %d/%d, want %d", len(s.ContactN), len(s.ContactD), len(contactBinEdges))
-	}
-	if len(s.ChanDisc) != len(s.ChanTx) || len(s.ChanDisc) != len(s.ChanColl) {
-		return fmt.Errorf("channel counters: %d/%d/%d lengths differ", len(s.ChanDisc), len(s.ChanTx), len(s.ChanColl))
-	}
-	for _, counts := range [][]int64{s.ContactN, s.ContactD, s.ChanDisc, s.ChanTx, s.ChanColl} {
-		for _, n := range counts {
-			if n < 0 {
-				return errors.New("negative counter")
-			}
-		}
-	}
-	return nil
-}
-
 // A PointSnapshot is one scenario's accumulator state over one trial
 // range: the full effective scenario (so the merge can rebuild schedules
 // and re-derive the horizon), its identity hash (guarding against merging
-// states of different specs), the range, and exactly one of the two
-// accumulator forms.
+// states of different specs), the range, and the accumulator.
 type PointSnapshot struct {
 	Name     string   `json:"name"`
 	Scenario Scenario `json:"scenario"`
@@ -281,10 +120,7 @@ type PointSnapshot struct {
 	Trials   int      `json:"trials"`
 	TrialLo  int      `json:"trial_lo"`
 	TrialHi  int      `json:"trial_hi"`
-	Streamed bool     `json:"streamed,omitempty"`
-
-	Exact  *ExactState  `json:"exact,omitempty"`
-	Stream *StreamState `json:"stream,omitempty"`
+	Accum    *Accum   `json:"accum"`
 }
 
 // validate checks the point against its own embedded scenario and the
@@ -310,25 +146,16 @@ func (ps *PointSnapshot) validate(shard ShardSpec) error {
 		return fmt.Errorf("point %q: trial range [%d, %d) does not match shard %s of %d trials (want [%d, %d))",
 			ps.Name, ps.TrialLo, ps.TrialHi, shard, ps.Trials, lo, hi)
 	}
-	switch {
-	case ps.Streamed && (ps.Stream == nil || ps.Exact != nil):
-		return fmt.Errorf("point %q: streamed point must carry exactly the stream state", ps.Name)
-	case !ps.Streamed && (ps.Exact == nil || ps.Stream != nil):
-		return fmt.Errorf("point %q: exact point must carry exactly the exact state", ps.Name)
+	if ps.Accum == nil {
+		return fmt.Errorf("point %q carries no accumulator", ps.Name)
 	}
-	if ps.Streamed {
-		if err := ps.Stream.validate(); err != nil {
-			return fmt.Errorf("point %q: stream state: %w", ps.Name, err)
-		}
-		return nil
-	}
-	if err := ps.Exact.validate(); err != nil {
-		return fmt.Errorf("point %q: exact state: %w", ps.Name, err)
+	if err := ps.Accum.validate(); err != nil {
+		return fmt.Errorf("point %q: accumulator: %w", ps.Name, err)
 	}
 	return nil
 }
 
-// A Snapshot is the ndshard/1 document one shard process emits and the
+// A Snapshot is the ndshard/2 document one shard process emits and the
 // merge consumes: the codec version, what kind of run produced it, the
 // shard coordinates, and one PointSnapshot per point in run order. Adaptive
 // snapshots additionally carry the search spec and the pool of already
@@ -353,8 +180,8 @@ type Snapshot struct {
 // invariants). Decoding runs it, so no malformed snapshot reaches the
 // merge or finalization layers.
 func (s *Snapshot) Validate() error {
-	if s.Codec != SnapshotCodec {
-		return fmt.Errorf("engine: unsupported snapshot codec %q (this build reads %q)", s.Codec, SnapshotCodec)
+	if err := checkSnapshotCodec(s.Codec); err != nil {
+		return err
 	}
 	switch s.Kind {
 	case SnapshotSuite, SnapshotSweep, SnapshotAdaptive, SnapshotJournal:
@@ -393,7 +220,15 @@ func (s *Snapshot) Validate() error {
 	return nil
 }
 
-// EncodeSnapshot writes the snapshot as deterministic, indented ndshard/1
+// checkSnapshotCodec refuses every codec but this build's.
+func checkSnapshotCodec(codec string) error {
+	if codec != SnapshotCodec {
+		return fmt.Errorf("engine: unsupported snapshot codec %q (this build reads %q)", codec, SnapshotCodec)
+	}
+	return nil
+}
+
+// EncodeSnapshot writes the snapshot as deterministic, indented ndshard/2
 // JSON.
 func EncodeSnapshot(w io.Writer, s Snapshot) error {
 	if err := s.Validate(); err != nil {
@@ -402,14 +237,27 @@ func EncodeSnapshot(w io.Writer, s Snapshot) error {
 	return writeIndentedJSON(w, s)
 }
 
-// DecodeSnapshot reads and validates one ndshard/1 snapshot. Unknown
-// fields, trailing data, version skew and every accumulator-invariant
-// violation are rejected with an error; no input panics. The decoded form
-// is canonical (empty slices normalized to nil), so
-// decode(encode(decode(x))) == decode(x).
+// DecodeSnapshot reads and validates one ndshard/2 snapshot. A document of
+// any other codec is refused as such before its fields are read, so an
+// older layout reports its version rather than its unknown fields.
+// Unknown fields, trailing data and every accumulator-invariant violation
+// are rejected with an error; no input panics. On accepted documents
+// encode∘decode is a byte fixed point.
 func DecodeSnapshot(r io.Reader) (Snapshot, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("engine: reading snapshot: %w", err)
+	}
+	var head struct {
+		Codec string `json:"codec"`
+	}
+	if json.Unmarshal(data, &head) == nil {
+		if err := checkSnapshotCodec(head.Codec); err != nil {
+			return Snapshot{}, err
+		}
+	}
 	var s Snapshot
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Snapshot{}, fmt.Errorf("engine: decoding snapshot: %w", err)
@@ -417,41 +265,10 @@ func DecodeSnapshot(r io.Reader) (Snapshot, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return Snapshot{}, fmt.Errorf("engine: decoding snapshot: trailing data after the document")
 	}
-	s.canonicalize()
 	if err := s.Validate(); err != nil {
 		return Snapshot{}, err
 	}
 	return s, nil
-}
-
-// canonicalize nil-normalizes empty slices so a decoded snapshot re-encodes
-// to the same bytes (omitempty drops empty slices at encode time).
-func (s *Snapshot) canonicalize() {
-	if len(s.Points) == 0 {
-		s.Points = nil
-	}
-	if len(s.Evaluations) == 0 {
-		s.Evaluations = nil
-	}
-	for _, pts := range [][]PointSnapshot{s.Points, s.Evaluations} {
-		for i := range pts {
-			if ex := pts[i].Exact; ex != nil {
-				if len(ex.Samples) == 0 {
-					ex.Samples = nil
-				}
-				ex.ContactN = copyCounts(ex.ContactN)
-				ex.ContactD = copyCounts(ex.ContactD)
-				ex.ChanDisc = copyCounts(ex.ChanDisc)
-				ex.ChanTx = copyCounts(ex.ChanTx)
-				ex.ChanColl = copyCounts(ex.ChanColl)
-			}
-			if st := pts[i].Stream; st != nil {
-				st.ChanDisc = copyCounts(st.ChanDisc)
-				st.ChanTx = copyCounts(st.ChanTx)
-				st.ChanColl = copyCounts(st.ChanColl)
-			}
-		}
-	}
 }
 
 // ReadSnapshotFile loads and validates one snapshot file.
@@ -468,25 +285,14 @@ func ReadSnapshotFile(path string) (Snapshot, error) {
 	return s, nil
 }
 
-// WriteSnapshotFile writes the snapshot to path (atomically: a temp file
-// in the same directory, then rename — a crash mid-write never leaves a
-// half-snapshot behind).
+// WriteSnapshotFile writes the snapshot to path durably (durable.WriteFile:
+// a crash mid-write never leaves a torn or empty snapshot behind).
 func WriteSnapshotFile(path string, s Snapshot) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, s); err != nil {
 		return err
 	}
-	if err := EncodeSnapshot(f, s); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.WriteFile(path, buf.Bytes())
 }
 
 // runShard executes the shard's trial range of every scenario and captures
@@ -515,7 +321,7 @@ func runShard(label, kind string, scenarios []Scenario, shard ShardSpec, opt Opt
 }
 
 // RunScenariosShard runs trial-range shard k/n of a scenario list and
-// returns the ndshard/1 snapshot to feed MergeSnapshots. The label names
+// returns the ndshard/2 snapshot to feed MergeSnapshots. The label names
 // the run (suite name, spec file); the merged SuiteResult carries it.
 func RunScenariosShard(label string, scenarios []Scenario, shard ShardSpec, opt Options) (Snapshot, error) {
 	return runShard(label, SnapshotSuite, scenarios, shard, opt)
@@ -565,18 +371,18 @@ func validateShardSet(snaps []Snapshot) ([]Snapshot, error) {
 }
 
 // mergeShardPoints reassembles the full-range PointSnapshots from a
-// validated, sorted shard set: per point, the exact states concatenate in
-// shard (= trial) order and the stream states merge through the guarded
-// accumulator merge; spec hashes and trial-range contiguity are enforced.
+// validated, sorted shard set: per point, the accumulators merge through
+// the layout-guarded merge into a fresh one (the inputs stay untouched);
+// spec hashes and trial-range contiguity are enforced.
 func mergeShardPoints(sorted []Snapshot) ([]PointSnapshot, error) {
 	out := make([]PointSnapshot, len(sorted[0].Points))
 	for i := range out {
 		base := sorted[0].Points[i]
 		merged := base
-		if merged.Streamed {
-			merged.Stream = base.Stream.accum().state() // deep copy
-		} else {
-			merged.Exact = base.Exact.clone()
+		b := base.Accum
+		merged.Accum = newAccum(b.Horizon, b.Width, b.Worst, len(b.ChanDisc))
+		if err := merged.Accum.merge(b); err != nil {
+			return nil, fmt.Errorf("engine: point %q: %w", base.Name, err)
 		}
 		for _, s := range sorted[1:] {
 			ps := s.Points[i]
@@ -584,20 +390,11 @@ func mergeShardPoints(sorted []Snapshot) ([]PointSnapshot, error) {
 				return nil, fmt.Errorf("engine: shard %s point %d is %q (hash %#x, %d trials), want %q (hash %#x, %d trials) — snapshots from different runs",
 					s.Shard, i, ps.Name, ps.SpecHash, ps.Trials, merged.Name, merged.SpecHash, merged.Trials)
 			}
-			if ps.Streamed != merged.Streamed {
-				return nil, fmt.Errorf("engine: shard %s point %q switches aggregation paths", s.Shard, ps.Name)
-			}
 			if ps.TrialLo != merged.TrialHi {
 				return nil, fmt.Errorf("engine: point %q: shard %s starts at trial %d, want %d (gap or overlap)",
 					ps.Name, s.Shard, ps.TrialLo, merged.TrialHi)
 			}
-			if merged.Streamed {
-				acc := merged.Stream.accum()
-				if err := acc.merge(ps.Stream.accum()); err != nil {
-					return nil, fmt.Errorf("engine: point %q: %w", ps.Name, err)
-				}
-				merged.Stream = acc.state()
-			} else if err := merged.Exact.merge(ps.Exact); err != nil {
+			if err := merged.Accum.merge(ps.Accum); err != nil {
 				return nil, fmt.Errorf("engine: point %q: %w", ps.Name, err)
 			}
 			merged.TrialHi = ps.TrialHi
@@ -623,42 +420,18 @@ func finalizePoint(ps PointSnapshot) (Aggregate, error) {
 	if err != nil {
 		return Aggregate{}, err
 	}
-	if p.exact && ps.Streamed {
-		// prepare never streams an exact point, so a snapshot claiming both
-		// was not produced by this engine.
-		return Aggregate{}, fmt.Errorf("engine: point %q: an exact point cannot carry stream state", ps.Name)
-	}
-	if ps.Streamed {
-		// Merging the state into a freshly laid-out accumulator both
-		// validates the layout against the scenario (horizon, bin width,
-		// contact scale, channel count) and normalizes the state.
-		merged := newStreamAccum(p.horizon, p.contactWorst(), p.chanCount())
-		if err := merged.merge(ps.Stream.accum()); err != nil {
-			return Aggregate{}, fmt.Errorf("engine: point %q: snapshot does not match its scenario: %w", ps.Name, err)
-		}
-		return aggregateStream(p.sc, p.b, p.horizon, merged), nil
-	}
-	st := ps.Exact
-	wantContact := 0
-	if p.contactWorst() > 0 {
-		wantContact = len(contactBinEdges)
-	}
-	wantChan := p.chanCount()
-	wantTx := 0
-	if p.b.Mode == modeMultiChannelGroup {
-		wantTx = wantChan
-	}
-	if len(st.ContactN) != wantContact || len(st.ChanDisc) != wantChan || len(st.ChanTx) != wantTx {
-		return Aggregate{}, fmt.Errorf("engine: point %q: snapshot does not match its scenario: contact/chan/tx counters %d/%d/%d, want %d/%d/%d",
-			ps.Name, len(st.ContactN), len(st.ChanDisc), len(st.ChanTx), wantContact, wantChan, wantTx)
+	// The payload must have exactly the layout this scenario derives:
+	// horizon, key width, contact scale and channel count.
+	if err := p.newAccum().sameLayout(ps.Accum); err != nil {
+		return Aggregate{}, fmt.Errorf("engine: point %q: snapshot does not match its scenario: %w", ps.Name, err)
 	}
 	if p.exact {
 		// Same synthesis as an unsharded run's finalize: the snapshot's
-		// exact state is empty by construction, and the answer comes from
+		// accumulator is empty by construction, and the answer comes from
 		// the analysis.
 		return aggregateAnalysis(p.sc, p.b, p.horizon), nil
 	}
-	return aggregateExact(p.sc, p.b, p.horizon, st.clone()), nil
+	return ps.Accum.aggregate(p.sc, p.b, p.quantized), nil
 }
 
 // MergeSnapshots merges a complete shard set (every shard 1..n of one
@@ -855,7 +628,7 @@ func pointSetEqual(a, b []PointSnapshot) bool {
 	}
 	for i := range a {
 		if a[i].Name != b[i].Name || a[i].SpecHash != b[i].SpecHash ||
-			a[i].Trials != b[i].Trials || a[i].Streamed != b[i].Streamed {
+			a[i].Trials != b[i].Trials {
 			return false
 		}
 	}

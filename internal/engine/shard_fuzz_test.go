@@ -7,7 +7,11 @@ import (
 	"repro/internal/timebase"
 )
 
-// Satellite 2: the ndshard/1 codec fuzz target. The invariant under
+// snapshotV1 is an ndshard/1 document as the previous two-payload codec
+// wrote it (an exact-path point carrying its trial-ordered samples).
+const snapshotV1 = `{"codec":"ndshard/1","kind":"suite","label":"v1-seed","shard":{"k":1,"n":1},"points":[{"name":"v1-seed","scenario":{"name":"v1-seed","protocol":{"kind":"optimal","omega":36,"alpha":1,"eta":0.05},"population":2,"trials":3,"horizon":{"worst_multiple":3},"channel":{},"seed":31},"spec_hash":12473152137249034730,"trials":3,"trial_lo":0,"trial_hi":3,"exact":{"samples":[18758,55789,48867]}}]}`
+
+// FuzzSnapshotCodec is the ndshard/2 codec fuzz target. The invariant under
 // arbitrary input: DecodeSnapshot either returns an error — never panics —
 // or returns a snapshot whose re-encoding is a fixed point of the codec
 // (decode ∘ encode is the identity on accepted documents).
@@ -28,8 +32,8 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		return sc
 	}
-	encodeSeed := func(sc Scenario, k, n int, mode StreamMode) []byte {
-		snap, err := RunScenariosShard("fuzz", []Scenario{sc}, ShardSpec{K: k, N: n}, Options{Workers: 2, Stream: mode})
+	encodeSeed := func(sc Scenario, k, n int) []byte {
+		snap, err := RunScenariosShard("fuzz", []Scenario{sc}, ShardSpec{K: k, N: n}, Options{Workers: 2})
 		if err != nil {
 			f.Fatalf("seed run: %v", err)
 		}
@@ -40,25 +44,37 @@ func FuzzSnapshotCodec(f *testing.F) {
 		return buf.Bytes()
 	}
 
-	exact := encodeSeed(seedScenario(6, false), 1, 2, StreamOff)
-	streamed := encodeSeed(seedScenario(6, false), 2, 3, StreamOn)
-	churned := encodeSeed(seedScenario(5, true), 1, 1, StreamOff)
-	empty := encodeSeed(seedScenario(2, false), 3, 7, StreamOff) // empty trial range
+	exact := encodeSeed(seedScenario(6, false), 1, 2)
+	// A quantized point: the rule reads the full trial count, so a thin
+	// shard of a large point carries binned keys while running only
+	// ~260 trials.
+	quantized := encodeSeed(seedScenario(streamThreshold+1, false), 1, 1000)
+	if !bytes.Contains(quantized, []byte(`"width": `)) || bytes.Contains(quantized, []byte(`"width": 1,`)) {
+		f.Fatalf("the quantized seed does not carry a bin width above 1")
+	}
+	churned := encodeSeed(seedScenario(5, true), 1, 1)
+	empty := encodeSeed(seedScenario(2, false), 3, 7) // empty trial range
+	crowd := seedScenario(3, false)
+	crowd.Protocol = ProtocolSpec{Kind: "multichannel-group", Omega: 128 * timebase.Microsecond, Alpha: 1, Preset: "fast"}
+	crowd.Population = 3
+	multi := encodeSeed(crowd, 1, 1) // per-channel counters
 
 	f.Add(exact)
-	f.Add(streamed)
+	f.Add(quantized)
 	f.Add(churned)
 	f.Add(empty)
+	f.Add(multi)
+	f.Add([]byte(snapshotV1))
 	f.Add(exact[:len(exact)/2])                                              // truncated
-	f.Add(bytes.Replace(exact, []byte("ndshard/1"), []byte("ndshard/2"), 1)) // version skew
-	f.Add(bytes.Replace(streamed, []byte(`"count"`), []byte(`"cuont"`), 1))  // unknown field
+	f.Add(bytes.Replace(exact, []byte("ndshard/2"), []byte("ndshard/3"), 1)) // version skew
+	f.Add(bytes.Replace(quantized, []byte(`"count"`), []byte(`"cuont"`), 1)) // unknown field
 	f.Add(append(append([]byte(nil), churned...), '{', '}'))                 // trailing data
 	f.Add([]byte("{}"))
-	f.Add([]byte(`{"codec":"ndshard/1","kind":"suite","shard":{"k":1,"n":1},"points":[]}`))
+	f.Add([]byte(`{"codec":"ndshard/2","kind":"suite","shard":{"k":1,"n":1},"points":[]}`))
 	f.Add([]byte(`not json at all`))
-	if i := bytes.IndexByte(streamed, ':'); i >= 0 { // flipped byte
-		corrupt := append([]byte(nil), streamed...)
-		corrupt[i+1] ^= 0x5a
+	if i := bytes.Index(quantized, []byte(`"counts"`)); i >= 0 { // flipped byte inside the keys
+		corrupt := append([]byte(nil), quantized...)
+		corrupt[i+14] ^= 0x5a
 		f.Add(corrupt)
 	}
 

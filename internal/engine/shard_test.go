@@ -58,9 +58,9 @@ func TestShardRangePartition(t *testing.T) {
 
 // tinySnapshot runs one small scenario as shard k/n and returns the
 // snapshot, for merge-validation tests that need realistic inputs.
-func tinySnapshot(t *testing.T, sc Scenario, k, n int, mode StreamMode) Snapshot {
+func tinySnapshot(t *testing.T, sc Scenario, k, n int) Snapshot {
 	t.Helper()
-	snap, err := RunScenariosShard("tiny", []Scenario{sc}, ShardSpec{K: k, N: n}, Options{Workers: 2, Stream: mode})
+	snap, err := RunScenariosShard("tiny", []Scenario{sc}, ShardSpec{K: k, N: n}, Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("RunScenariosShard %d/%d: %v", k, n, err)
 	}
@@ -80,9 +80,9 @@ func tinyScenario(trials int, seed int64) Scenario {
 
 func TestMergeSnapshotsValidation(t *testing.T) {
 	sc := tinyScenario(9, 7)
-	s1 := tinySnapshot(t, sc, 1, 3, StreamOff)
-	s2 := tinySnapshot(t, sc, 2, 3, StreamOff)
-	s3 := tinySnapshot(t, sc, 3, 3, StreamOff)
+	s1 := tinySnapshot(t, sc, 1, 3)
+	s2 := tinySnapshot(t, sc, 2, 3)
+	s3 := tinySnapshot(t, sc, 3, 3)
 
 	cases := []struct {
 		name  string
@@ -92,7 +92,7 @@ func TestMergeSnapshotsValidation(t *testing.T) {
 		{"empty", nil, "no snapshots"},
 		{"missing shard", []Snapshot{s1, s3}, "all 3 shards"},
 		{"duplicate shard", []Snapshot{s1, s2, s2}, "not exactly"},
-		{"foreign n", []Snapshot{s1, s2, tinySnapshot(t, sc, 3, 7, StreamOff)}, "not exactly"},
+		{"foreign n", []Snapshot{s1, s2, tinySnapshot(t, sc, 3, 7)}, "not exactly"},
 	}
 	for _, c := range cases {
 		if _, err := MergeSnapshots(c.snaps); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -102,7 +102,7 @@ func TestMergeSnapshotsValidation(t *testing.T) {
 
 	// Mixed runs: same shard shape, different spec → spec-hash mismatch.
 	other := tinyScenario(9, 8) // different seed → different hash
-	o2 := tinySnapshot(t, other, 2, 3, StreamOff)
+	o2 := tinySnapshot(t, other, 2, 3)
 	o2.Label = s1.Label
 	if _, err := MergeSnapshots([]Snapshot{s1, o2, s3}); err == nil || !strings.Contains(err.Error(), "different runs") {
 		t.Errorf("spec-hash mismatch: got %v, want 'different runs' error", err)
@@ -110,7 +110,7 @@ func TestMergeSnapshotsValidation(t *testing.T) {
 
 	// Version skew is rejected before anything is merged.
 	skew := s2
-	skew.Codec = "ndshard/2"
+	skew.Codec = "ndshard/9"
 	if _, err := MergeSnapshots([]Snapshot{s1, skew, s3}); err == nil || !strings.Contains(err.Error(), "codec") {
 		t.Errorf("codec skew: got %v, want codec error", err)
 	}
@@ -121,47 +121,64 @@ func TestMergeSnapshotsValidation(t *testing.T) {
 	}
 }
 
-// Satellite fix: the pooled streaming counters must refuse to merge
-// accumulators with mismatched histogram layouts instead of silently
-// corrupting state.
-func TestStreamMergeGuards(t *testing.T) {
-	a := newStreamAccum(1000, 0, 0)
-	b := newStreamAccum(2000, 0, 0) // different horizon → different bin width
-	if err := a.merge(b); err == nil || !strings.Contains(err.Error(), "incompatible") {
-		t.Errorf("horizon mismatch: got %v, want incompatible-accumulator error", err)
+// The layout guard must hold at the snapshot layer: merging shard states
+// whose layouts disagree is an error, not corruption, and a merged payload
+// whose layout is not the one its scenario derives is refused at
+// finalization.
+func TestMergeStreamLayoutMismatch(t *testing.T) {
+	sc := tinyScenario(8, 7)
+	s1 := tinySnapshot(t, sc, 1, 2)
+	s2 := tinySnapshot(t, sc, 2, 2)
+	s2.Points[0].Accum.Horizon++ // corrupt the layout, keep identity
+	if _, err := MergeSnapshots([]Snapshot{s1, s2}); err == nil || !strings.Contains(err.Error(), "incompatible") {
+		t.Errorf("layout mismatch between shards: got %v, want incompatible-accumulator error", err)
 	}
-	c := newStreamAccum(1000, 0, 0)
-	c.bins = c.bins[:len(c.bins)-1]
-	if err := a.merge(c); err == nil || !strings.Contains(err.Error(), "bins") {
-		t.Errorf("bin-count mismatch: got %v, want bin-count error", err)
-	}
-	d := newStreamAccum(1000, 0, 3)
-	if err := a.merge(d); err == nil || !strings.Contains(err.Error(), "channels") {
-		t.Errorf("channel-count mismatch: got %v, want channel error", err)
-	}
-	if err := a.merge(newStreamAccum(1000, 0, 0)); err != nil {
-		t.Errorf("compatible merge: %v", err)
-	}
-	if err := a.merge(nil); err != nil {
-		t.Errorf("nil merge: %v", err)
+
+	for name, corrupt := range map[string]func(a *Accum){
+		"horizon": func(a *Accum) { a.Horizon++ },
+		"key width": func(a *Accum) {
+			b := newAccum(a.Horizon, 2, a.Worst, len(a.ChanDisc))
+			for k, n := range a.Counts {
+				for ; n > 0; n-- {
+					b.add(k)
+				}
+			}
+			b.Misses = a.Misses
+			*a = *b
+		},
+		"contact scale": func(a *Accum) {
+			a.Worst, a.ContactN, a.ContactD = 7, make([]int64, len(contactBinEdges)), make([]int64, len(contactBinEdges))
+		},
+		"channel count": func(a *Accum) {
+			a.ChanDisc, a.ChanTx, a.ChanColl = make([]int64, 3), make([]int64, 3), make([]int64, 3)
+		},
+	} {
+		whole := tinySnapshot(t, sc, 1, 1)
+		corrupt(whole.Points[0].Accum)
+		if _, err := MergeSnapshots([]Snapshot{whole}); err == nil || !strings.Contains(err.Error(), "does not match its scenario") {
+			t.Errorf("%s differs from the scenario's: got %v, want scenario-mismatch error", name, err)
+		}
 	}
 }
 
-// The same guard must hold at the snapshot layer: merging shard states
-// whose histogram layouts disagree is an error, not corruption.
-func TestMergeStreamLayoutMismatch(t *testing.T) {
-	sc := tinyScenario(8, 7)
-	s1 := tinySnapshot(t, sc, 1, 2, StreamOn)
-	s2 := tinySnapshot(t, sc, 2, 2, StreamOn)
-	s2.Points[0].Stream.Horizon++ // corrupt the layout, keep identity
-	if _, err := MergeSnapshots([]Snapshot{s1, s2}); err == nil || !strings.Contains(err.Error(), "incompatible") {
-		t.Errorf("stream layout mismatch: got %v, want incompatible-accumulator error", err)
+// An ndshard/1 document (the previous two-form payload) is refused with
+// the codec's unsupported-codec error, not as an unknown field.
+func TestSnapshotRejectsPreviousCodec(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, tinySnapshot(t, tinyScenario(6, 7), 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(buf.Bytes(), []byte(`"ndshard/2"`), []byte(`"ndshard/1"`), 1)
+	v1 = bytes.Replace(v1, []byte(`"accum"`), []byte(`"exact"`), 1)
+	_, err := DecodeSnapshot(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), `unsupported snapshot codec "ndshard/1"`) {
+		t.Fatalf("ndshard/1 document: got %v, want the unsupported-codec error", err)
 	}
 }
 
 func TestSnapshotDecodeRejections(t *testing.T) {
 	sc := tinyScenario(6, 7)
-	snap := tinySnapshot(t, sc, 1, 2, StreamOff)
+	snap := tinySnapshot(t, sc, 1, 2)
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, snap); err != nil {
 		t.Fatalf("encode: %v", err)
@@ -175,7 +192,7 @@ func TestSnapshotDecodeRejections(t *testing.T) {
 	cases := map[string][]byte{
 		"truncated":      valid[:len(valid)/2],
 		"trailing data":  append(append([]byte{}, valid...), []byte("{}")...),
-		"version skew":   bytes.Replace(append([]byte{}, valid...), []byte("ndshard/1"), []byte("ndshard/9"), 1),
+		"version skew":   bytes.Replace(append([]byte{}, valid...), []byte("ndshard/2"), []byte("ndshard/9"), 1),
 		"unknown field":  bytes.Replace(append([]byte{}, valid...), []byte(`"codec"`), []byte(`"kodec"`), 1),
 		"empty document": []byte("{}"),
 		"not json":       []byte("accumulator"),
@@ -198,7 +215,7 @@ func TestSingleShardIdentity(t *testing.T) {
 	direct := SuiteResult{Suite: "tiny", Scenarios: aggs}
 	direct.StripRuntime()
 
-	merged, err := MergeSnapshots([]Snapshot{tinySnapshot(t, sc, 1, 1, StreamAuto)})
+	merged, err := MergeSnapshots([]Snapshot{tinySnapshot(t, sc, 1, 1)})
 	if err != nil {
 		t.Fatalf("MergeSnapshots: %v", err)
 	}

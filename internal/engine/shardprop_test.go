@@ -11,10 +11,10 @@ import (
 
 // Satellite 1: the property harness for the shard/merge determinism
 // contract. For randomized scenarios across every protocol kind, shard
-// counts n ∈ {1, 2, 3, 7}, both aggregation paths, and arbitrary worker
-// counts, merging shards 1..n must reproduce — byte for byte, after
+// counts n ∈ {1, 2, 3, 7}, unquantized and quantized points, and arbitrary
+// worker counts, merging shards 1..n must reproduce — byte for byte, after
 // StripRuntime — the document an unsharded run writes. Every shard
-// snapshot is round-tripped through the ndshard/1 codec on the way, so the
+// snapshot is round-tripped through the ndshard/2 codec on the way, so the
 // property covers serialization, not just in-memory merging.
 
 // propTemplates covers every protocol kind and execution mode the engine
@@ -103,7 +103,7 @@ func propTemplates() []Scenario {
 	}
 }
 
-// codecRoundTrip pushes a snapshot through the ndshard/1 codec and asserts
+// codecRoundTrip pushes a snapshot through the ndshard/2 codec and asserts
 // the round-trip is the identity on bytes: encode(decode(encode(x))) ==
 // encode(x).
 func codecRoundTrip(t *testing.T, snap Snapshot) Snapshot {
@@ -151,13 +151,13 @@ func clip(b []byte, lo, hi int) []byte {
 	return b[lo:hi]
 }
 
-// assertShardMergeIdentical is the core property: shard the scenario list
-// n ways (each shard with its own worker count), round-trip every snapshot
-// through the codec, merge in shuffled order, and require the stripped
-// result's bytes to equal the unsharded run's.
-func assertShardMergeIdentical(t *testing.T, rng *rand.Rand, label string, scenarios []Scenario, n int, mode StreamMode) {
+// assertShardMergeIdentical is the core property: for each n, shard the
+// scenario list n ways (each shard with its own worker count), round-trip
+// every snapshot through the codec, merge in shuffled order, and require
+// the stripped result's bytes to equal the unsharded run's.
+func assertShardMergeIdentical(t *testing.T, rng *rand.Rand, label string, scenarios []Scenario, ns ...int) {
 	t.Helper()
-	aggs, err := RunSuite(scenarios, Options{Workers: 1 + rng.Intn(4), Stream: mode})
+	aggs, err := RunSuite(scenarios, Options{Workers: 1 + rng.Intn(4)})
 	if err != nil {
 		t.Fatalf("%s: unsharded run: %v", label, err)
 	}
@@ -168,25 +168,27 @@ func assertShardMergeIdentical(t *testing.T, rng *rand.Rand, label string, scena
 		t.Fatal(err)
 	}
 
-	snaps := make([]Snapshot, n)
-	for k := 1; k <= n; k++ {
-		snap, err := RunScenariosShard(label, scenarios, ShardSpec{K: k, N: n}, Options{Workers: 1 + rng.Intn(4), Stream: mode})
-		if err != nil {
-			t.Fatalf("%s: shard %d/%d: %v", label, k, n, err)
+	for _, n := range ns {
+		snaps := make([]Snapshot, n)
+		for k := 1; k <= n; k++ {
+			snap, err := RunScenariosShard(label, scenarios, ShardSpec{K: k, N: n}, Options{Workers: 1 + rng.Intn(4)})
+			if err != nil {
+				t.Fatalf("%s: shard %d/%d: %v", label, k, n, err)
+			}
+			snaps[k-1] = codecRoundTrip(t, snap)
 		}
-		snaps[k-1] = codecRoundTrip(t, snap)
+		rng.Shuffle(len(snaps), func(i, j int) { snaps[i], snaps[j] = snaps[j], snaps[i] })
+		merged, err := MergeSnapshots(snaps)
+		if err != nil {
+			t.Fatalf("%s: merge of %d shards: %v", label, n, err)
+		}
+		merged.StripRuntime()
+		var gotBuf bytes.Buffer
+		if err := WriteJSON(&gotBuf, merged); err != nil {
+			t.Fatal(err)
+		}
+		diffJSON(t, fmt.Sprintf("%s/n%d", label, n), wantBuf.Bytes(), gotBuf.Bytes())
 	}
-	rng.Shuffle(len(snaps), func(i, j int) { snaps[i], snaps[j] = snaps[j], snaps[i] })
-	merged, err := MergeSnapshots(snaps)
-	if err != nil {
-		t.Fatalf("%s: merge: %v", label, err)
-	}
-	merged.StripRuntime()
-	var gotBuf bytes.Buffer
-	if err := WriteJSON(&gotBuf, merged); err != nil {
-		t.Fatal(err)
-	}
-	diffJSON(t, label, wantBuf.Bytes(), gotBuf.Bytes())
 }
 
 func TestShardMergeProperty(t *testing.T) {
@@ -201,27 +203,37 @@ func TestShardMergeProperty(t *testing.T) {
 					sc.Trials = 5 // fewer trials than shards: empty ranges must merge too
 				}
 				sc.Seed = 1 + rng.Int63n(1<<30)
-				mode := StreamOff
-				if rng.Intn(2) == 0 {
-					mode = StreamOn
-				}
-				assertShardMergeIdentical(t, rng,
-					fmt.Sprintf("%s/n%d", tmpl.Name, n), []Scenario{sc}, n, mode)
+				assertShardMergeIdentical(t, rng, tmpl.Name, []Scenario{sc}, n)
 			}
 		})
 	}
 }
 
-// Both aggregation paths must hold the property on the same spec — the
-// randomized cases above pick one mode each; this pins the pair.
+// Both kinds of point must hold the property: the randomized cases above
+// are all unquantized, so this pins a quantized point at its real size —
+// more than streamThreshold expected samples, which no option can fake —
+// next to an unquantized one in the same run.
 func TestShardMergePropertyBothPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sc := propTemplates()[0]
-	sc.Trials = 17
-	sc.Seed = 9
-	for _, mode := range []StreamMode{StreamOff, StreamOn} {
-		assertShardMergeIdentical(t, rng, fmt.Sprintf("both-paths/%d", mode), []Scenario{sc}, 3, mode)
+	if testing.Short() {
+		t.Skip("a quantized point needs more than 2^18 trials; skipped with -short")
 	}
+	rng := rand.New(rand.NewSource(42))
+	small := propTemplates()[0]
+	small.Trials = 17
+	small.Seed = 9
+	big := propTemplates()[3] // BLE fast with jitter: the cheapest pair trial
+	big.Name = "prop-quantized"
+	big.Trials = streamThreshold + 1 + rng.Intn(1000)
+	big.Seed = 11
+	aggs, err := RunSuite([]Scenario{big}, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !aggs[0].Streamed || aggs[0].QuantileResolution < 2 {
+		t.Fatalf("%d trials must quantize with a bin width above 1: streamed=%v resolution=%d",
+			big.Trials, aggs[0].Streamed, aggs[0].QuantileResolution)
+	}
+	assertShardMergeIdentical(t, rng, "both-paths", []Scenario{small, big}, 2, 3, 7)
 }
 
 // A sweep shards as its expanded scenario matrix: merge(shards of every

@@ -9,9 +9,10 @@
 //     memoized in a capped LRU.
 //   - run.go: the scheduler — every trial of every scenario shards over
 //     one shared worker pool, each on its own deterministic RNG stream.
-//   - aggregate.go, stream.go: two aggregation paths with one output
-//     shape — exact trial-ordered pooling, and bounded-memory streaming
-//     accumulators whose all-integer state merges order-insensitively.
+//   - accum.go, aggregate.go: one aggregation state — a sparse,
+//     all-integer latency → count accumulator (quantized to at most 4096
+//     bins on large points) that merges order-insensitively — and its
+//     finalizer into the Aggregate output shape.
 //   - sweep.go, adaptive.go: the search layer — fixed cartesian grids
 //     (SweepSpec) and coarse-to-fine adaptive refinement toward an
 //     objective (AdaptiveSpec), both generating ordinary scenarios.

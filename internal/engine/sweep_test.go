@@ -164,16 +164,15 @@ func TestSweepPresetsExpandAndRun(t *testing.T) {
 	}
 }
 
-// TestSweepWorkerCountInvariance is the PR's acceptance contract: the full
-// JSON document of a sweep — with the streaming aggregator engaged — is
+// TestSweepWorkerCountInvariance: the full JSON document of a sweep is
 // byte-identical for 1 worker and for 8.
 func TestSweepWorkerCountInvariance(t *testing.T) {
 	sp := testSweep()
 	sp.Base.Channel = ChannelSpec{Collisions: true, HalfDuplex: true, Jitter: 360}
 
-	render := func(workers int, mode StreamMode) []byte {
+	render := func(workers int) []byte {
 		t.Helper()
-		aggs, err := RunSweep(sp, Options{Workers: workers, Stream: mode})
+		aggs, err := RunSweep(sp, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,12 +185,8 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	for _, mode := range []StreamMode{StreamOff, StreamOn} {
-		serial := render(1, mode)
-		parallel := render(8, mode)
-		if !bytes.Equal(serial, parallel) {
-			t.Errorf("mode %v: sweep JSON differs between 1 and 8 workers", mode)
-		}
+	if !bytes.Equal(render(1), render(8)) {
+		t.Error("sweep JSON differs between 1 and 8 workers")
 	}
 }
 

@@ -71,9 +71,9 @@ type RunMetrics struct {
 	// for one; evictions drop the least-recently-used entry).
 	BuildCache CacheStats `json:"build_cache"`
 
-	// StreamedPoints and ExactPoints split the points by aggregation
-	// path: bounded-memory streaming accumulators vs trial-ordered exact
-	// pooling.
+	// StreamedPoints and ExactPoints split the points by how their
+	// accumulators key latencies: quantized into at most 4096 bins (points
+	// expecting more than ~262k samples) vs exact ticks.
 	StreamedPoints int `json:"streamed_points"`
 	ExactPoints    int `json:"exact_points"`
 
@@ -101,8 +101,7 @@ type RunMetrics struct {
 	ResultCacheHit bool `json:"result_cache_hit,omitempty"`
 
 	// PeakAccumBytes is the high-water estimate of live aggregation
-	// state — materialized trial-output slices plus streaming
-	// accumulators — across the run.
+	// state — the workers' per-point accumulators — across the run.
 	PeakAccumBytes int64 `json:"peak_accum_bytes"`
 }
 

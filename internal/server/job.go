@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sync"
 
 	"repro/internal/engine"
@@ -34,11 +35,16 @@ type JobRequest struct {
 	Adaptive *engine.AdaptiveSpec `json:"adaptive,omitempty"`
 
 	// Trials overrides every scenario's trial count (like -trials);
-	// Exact forces the exact-analysis fast path (like -exact); Stream
-	// selects the aggregation strategy: "auto" (default), "on", "off".
-	Trials int    `json:"trials,omitempty"`
-	Exact  bool   `json:"exact,omitempty"`
-	Stream string `json:"stream,omitempty"`
+	// Exact forces the exact-analysis fast path (like -exact).
+	Trials int  `json:"trials,omitempty"`
+	Exact  bool `json:"exact,omitempty"`
+
+	// Deprecated: Stream is not part of the request any more — points
+	// above ~262k expected samples are quantized automatically, and a
+	// "stream" key in a request body is refused as an unknown field. The
+	// Go field remains, never encoded, decoded or read, only so existing
+	// Go callers that inspect it still compile.
+	Stream string `json:"-"`
 
 	// Priority orders the queue: higher runs first; ties run in
 	// submission order.
@@ -88,7 +94,6 @@ type jobSpec struct {
 
 	trials int
 	exact  bool
-	stream engine.StreamMode
 
 	hash uint64
 }
@@ -145,19 +150,30 @@ func (j *Job) status() JobStatus {
 	return st
 }
 
+// decodeJobRequest is the one strict reader of a JobRequest, shared by
+// the submit handler and the restart path: unknown fields and any data
+// after the one JSON document are rejected.
+func decodeJobRequest(r io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return JobRequest{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobRequest{}, fmt.Errorf("trailing data after the request document")
+	}
+	return req, nil
+}
+
 // resolveRequest turns a request into the canonical jobSpec, resolving
 // registry names and validating inline specs. Every error is a client
 // error (HTTP 400).
 func resolveRequest(req JobRequest) (jobSpec, error) {
-	stream, err := engine.ParseStreamMode(req.Stream)
-	if err != nil {
-		return jobSpec{}, err
-	}
 	spec := jobSpec{
 		kind:   req.Kind,
 		trials: req.Trials,
 		exact:  req.Exact,
-		stream: stream,
 	}
 	inline := 0
 	for _, set := range []bool{len(req.Scenarios) > 0, req.Sweep != nil, req.Adaptive != nil} {
@@ -197,6 +213,7 @@ func resolveRequest(req JobRequest) (jobSpec, error) {
 		}
 	case "sweep":
 		var sp engine.SweepSpec
+		var err error
 		switch {
 		case req.Name != "":
 			sp, err = engine.SweepPreset(req.Name)
@@ -253,14 +270,14 @@ func resolveRequest(req JobRequest) (jobSpec, error) {
 }
 
 // canonicalHash fingerprints the job's deterministic identity: the kind,
-// label, execution options that change results (trials, exact, stream),
-// and the resolved spec. Workers are deliberately excluded — the engine's
+// label, execution options that change results (trials, exact), and the
+// resolved spec. Workers are deliberately excluded — the engine's
 // determinism contract makes results bit-identical for any worker count,
 // which is exactly what lets the result cache answer across submissions
 // with different pool sizes.
 func (s jobSpec) canonicalHash() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%t|%d\n", s.kind, s.label, s.trials, s.exact, s.stream)
+	fmt.Fprintf(h, "%s|%s|%d|%t\n", s.kind, s.label, s.trials, s.exact)
 	if s.adaptive {
 		// The adaptive spec is pure data; its canonical JSON is its
 		// identity.

@@ -7,14 +7,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // Journal-backed persistence (Config.JournalDir): every accepted job
 // writes its request to <dir>/jobs/<id>/job.json before the submit
 // response, suite-shaped jobs run through the engine's crash-resumable
 // point journal under <dir>/jobs/<id>/engine/, and completed documents
-// land in <dir>/jobs/<id>/result.json (temp file + rename, so a kill
-// mid-write never leaves a torn document). A restarted daemon rescans the
+// land in <dir>/jobs/<id>/result.json (durable.WriteFile, so a kill or
+// crash mid-write never leaves a torn or empty document). A restarted daemon rescans the
 // directory: finished jobs come back as cache entries, unfinished ones
 // re-enqueue and — thanks to the engine journal — re-execute only the
 // points that never completed. Adaptive jobs persist request and result
@@ -49,7 +51,7 @@ func (s *Server) persistRequest(j *Job) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(dir, "job.json"), blob)
+	return durable.WriteFile(filepath.Join(dir, "job.json"), blob)
 }
 
 // persistResult stores a completed job's document.
@@ -59,15 +61,7 @@ func (s *Server) persistResult(j *Job, doc []byte) {
 	}
 	// A persistence failure must not fail the job — the result is already
 	// computed and served from memory; only restart durability degrades.
-	_ = atomicWrite(filepath.Join(s.jobDir(j.id), "result.json"), doc)
-}
-
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	_ = durable.WriteFile(filepath.Join(s.jobDir(j.id), "result.json"), doc)
 }
 
 // recover rescans the journal at startup: for every persisted job,
@@ -96,10 +90,8 @@ func (s *Server) recover() error {
 		if err != nil {
 			continue
 		}
-		var req JobRequest
-		dec := json.NewDecoder(bytes.NewReader(blob))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		req, err := decodeJobRequest(bytes.NewReader(blob))
+		if err != nil {
 			continue
 		}
 		spec, err := resolveRequest(req)

@@ -112,7 +112,6 @@ func (s *Server) execute(ctx context.Context, j *Job, queueWaitMS float64) ([]by
 		Workers:          s.cfg.Workers,
 		Trials:           j.spec.trials,
 		Exact:            j.spec.exact,
-		Stream:           j.spec.stream,
 		Context:          ctx,
 		Metrics:          &m,
 		ProgressInterval: s.cfg.ProgressInterval,

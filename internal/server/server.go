@@ -284,10 +284,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("parsing job request: %w", err))
 		return
 	}

@@ -141,7 +141,6 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown kind", JobRequest{Kind: "banquet"}, "unknown job kind"},
 		{"unknown suite", JobRequest{Kind: "suite", Name: "no-such-suite"}, "no-such-suite"},
 		{"no spec", JobRequest{Kind: "sweep"}, "needs a sweep preset name"},
-		{"bad stream", JobRequest{Kind: "suite", Name: "paper-fig7", Stream: "sideways"}, "stream mode"},
 		{"conflicting inline", JobRequest{Kind: "sweep", Sweep: tinySweepRequest().Sweep, Adaptive: &engine.AdaptiveSpec{}}, "at most one"},
 	}
 	for _, tc := range cases {
@@ -153,15 +152,23 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, ae.Status)
 		}
 	}
-	// An unknown JSON key must be rejected, like ndscen's spec files.
-	resp, err := http.Post(c.base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"kind":"suite","name":"paper-fig7","trialz":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown key: status %d, want 400", resp.StatusCode)
+	// An unknown JSON key (the removed "stream" option among them) and
+	// anything after the request document must be rejected, like
+	// ndscen's spec files.
+	for name, body := range map[string]string{
+		"unknown key":   `{"kind":"suite","name":"paper-fig7","trialz":5}`,
+		"removed field": `{"kind":"suite","name":"paper-fig7","stream":"on"}`,
+		"trailing data": `{"kind":"suite","name":"paper-fig7"}{"garbage":true} trailing`,
+		"second object": `{"kind":"suite","name":"paper-fig7"} {"kind":"suite","name":"protocols"}`,
+	} {
+		resp, err := http.Post(c.base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
 	}
 }
 

@@ -25,8 +25,8 @@ type (
 	ChurnSpec = engine.ChurnSpec
 	// HorizonSpec resolves the simulated duration.
 	HorizonSpec = engine.HorizonSpec
-	// EngineOptions tunes execution (worker count, trial override,
-	// streaming aggregation).
+	// EngineOptions tunes execution (worker count, trial override, exact
+	// analysis, progress and metrics hooks).
 	EngineOptions = engine.Options
 	// ScenarioResult is the aggregate outcome of one scenario.
 	ScenarioResult = engine.Aggregate
@@ -43,8 +43,6 @@ type (
 	SweepSpec = engine.SweepSpec
 	// SweepAxis ranges one scenario field over a value list.
 	SweepAxis = engine.SweepAxis
-	// StreamMode selects the aggregation strategy (auto/on/off).
-	StreamMode = engine.StreamMode
 	// AdaptiveSpec is a coarse-to-fine parameter search: sweep axes plus
 	// an objective, refined by bracketing the best point each round.
 	AdaptiveSpec = engine.AdaptiveSpec
@@ -67,7 +65,7 @@ type (
 type (
 	// RunMetrics is the per-run execution record EngineOptions.Metrics
 	// fills: wall time, trials/sec, per-worker busy fractions, build-cache
-	// traffic, the streamed-vs-exact aggregation split and the peak
+	// traffic, the quantized-vs-exact-key point split and the peak
 	// accumulator memory estimate.
 	RunMetrics = obs.RunMetrics
 	// PointMetrics is the per-scenario slice of a run's metrics, attached
@@ -79,15 +77,6 @@ type (
 	// Progress is one snapshot delivered to EngineOptions.Progress:
 	// points/trials done vs total, elapsed time and an ETA estimate.
 	Progress = obs.Progress
-)
-
-// Streaming-aggregator modes for EngineOptions.Stream: StreamAuto engages
-// the bounded-memory accumulator above the engine's sample threshold;
-// StreamOn and StreamOff force the choice.
-const (
-	StreamAuto = engine.StreamAuto
-	StreamOn   = engine.StreamOn
-	StreamOff  = engine.StreamOff
 )
 
 // RunScenario executes one scenario, sharding its Monte-Carlo trials

@@ -6,17 +6,17 @@ import (
 
 // The shard/merge execution layer: split any scenario list, sweep, or
 // adaptive round across processes by trial-index range, serialize each
-// process's accumulator state as a versioned ndshard/1 snapshot, and merge
+// process's accumulator state as a versioned ndshard/2 snapshot, and merge
 // the snapshots into results byte-identical (after StripRuntime) to an
 // unsharded run. The engine's determinism contract — every trial runs on
-// an RNG stream derived from (spec hash, trial index), and both
-// aggregation paths are closed under merging disjoint trial ranges — makes
-// the merge exact, not approximate.
+// an RNG stream derived from (spec hash, trial index), and the one
+// all-integer accumulator is closed under merging disjoint trial ranges —
+// makes the merge exact, not approximate.
 type (
 	// ShardSpec selects trial-range shard k of n (1-based): the contiguous
 	// range [⌊(k−1)·T/n⌋, ⌊k·T/n⌋) of every scenario's trials.
 	ShardSpec = engine.ShardSpec
-	// Snapshot is one ndshard/1 document: a shard's serialized accumulator
+	// Snapshot is one ndshard/2 document: a shard's serialized accumulator
 	// state for every point it ran, plus — for adaptive searches — the
 	// search spec and the pooled evaluations of completed rounds.
 	Snapshot = engine.Snapshot
@@ -79,7 +79,7 @@ func RunJournaled(label string, scenarios []Scenario, opt EngineOptions, dir str
 	return engine.RunJournaled(label, scenarios, opt, dir)
 }
 
-// ReadSnapshotFile loads and validates one ndshard/1 snapshot file.
+// ReadSnapshotFile loads and validates one ndshard/2 snapshot file.
 func ReadSnapshotFile(path string) (Snapshot, error) { return engine.ReadSnapshotFile(path) }
 
 // WriteSnapshotFile atomically writes a snapshot to path (temp file +
