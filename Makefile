@@ -10,14 +10,18 @@ all: build test lint
 build:
 	$(GO) build ./...
 
+# The benchmark is its own module importing this one through a replace
+# directive, so ./... at the root does not compile it.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz runs beyond the seed corpora, matching the CI test job's fuzz
 # step. go test -fuzz takes one package and one target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime 15s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 15s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzJournalManifest -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 15s ./internal/server
 
 # Full-tree race detector run — the CI "race (full tree)" gate.
@@ -60,7 +64,7 @@ golden-update:
 
 help:
 	@echo "make build         - compile every package"
-	@echo "make test          - run the full test suite"
+	@echo "make test          - run the full test suite and the benchmark module's"
 	@echo "make fuzz          - 15 s fuzz runs of the fuzz targets"
 	@echo "make race          - full-tree race detector run"
 	@echo "make lint          - gofmt + vet + ndlint (+ staticcheck if installed)"

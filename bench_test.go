@@ -1,7 +1,9 @@
 // Benchmark harness: one benchmark per evaluation artifact of the paper
 // (Table 1, Figures 6 and 7, the Section 6.1 comparisons, the Appendix B
-// example, the achievability certification), plus the ablations DESIGN.md
-// calls out. Run with:
+// example, the achievability certification), plus the four design-choice
+// ablations eval.RunAblations reports (cmd/ndeval -exp ablate). The
+// kernel, analysis and engine rows live in the cmd/ndbench registry. Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
@@ -18,12 +20,9 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/energy"
 	"repro/internal/eval"
-	"repro/internal/multichannel"
 	"repro/internal/optimal"
 	"repro/internal/protocols"
 	"repro/internal/schedule"
-	"repro/internal/sim"
-	"repro/internal/slots"
 	"repro/internal/timebase"
 )
 
@@ -130,7 +129,7 @@ func BenchmarkCollisionMonteCarlo(b *testing.B) {
 	b.ReportMetric(rate, "collision-rate-S20")
 }
 
-// --- Ablation 1 (DESIGN.md §6): coverage sweep vs brute-force offsets ---
+// --- Ablation 1: coverage sweep vs brute-force offsets ---
 
 func ablationPair(b *testing.B) (schedule.BeaconSeq, schedule.WindowSeq) {
 	b.Helper()
@@ -240,84 +239,6 @@ func BenchmarkRedundancySweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(lastQ)/float64(r.WorstCase), "L(Q=4)/L(Q=1)")
-}
-
-// --- Engine benchmarks at realistic sizes ---
-
-// BenchmarkAnalyzeDisco2329 analyzes a production-scale Disco pair
-// (primes 23×29: 667 slots, 102 beacons per period).
-func BenchmarkAnalyzeDisco2329(b *testing.B) {
-	d, err := protocols.NewDisco(23, 29, 5000, 36)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dev, err := d.DeviceFullDuplex()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := coverage.Analyze(dev.B, dev.C, coverage.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Deterministic {
-			b.Fatal("not deterministic")
-		}
-	}
-}
-
-// BenchmarkGroupSimulation runs the 20-device collision simulation.
-func BenchmarkGroupSimulation(b *testing.B) {
-	pair, err := optimal.NewSymmetric(36, 1, 0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := sim.GroupDiscovery(pair.E, 20, 5, sim.Config{
-			Horizon:    10 * pair.WorstCase(),
-			Collisions: true,
-			Jitter:     200,
-			Seed:       int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSlotDomainWorstCase measures the independent slot-domain engine
-// on Disco(5,7) — the combinatorial path used for cross-validation.
-func BenchmarkSlotDomainWorstCase(b *testing.B) {
-	d, err := slots.Disco(5, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var worst int
-	for i := 0; i < b.N; i++ {
-		w, ok := slots.Symmetric(d)
-		if !ok {
-			b.Fatal("not deterministic")
-		}
-		worst = w
-	}
-	b.ReportMetric(float64(worst), "worst-slots")
-}
-
-// BenchmarkMultichannelAnalyze measures the exact 3-channel BLE analysis
-// on the continuous-scanning preset.
-func BenchmarkMultichannelAnalyze(b *testing.B) {
-	cfg := multichannel.BLE(20000, 128, 30000, 30000)
-	var worst timebase.Ticks
-	for i := 0; i < b.N; i++ {
-		res, err := multichannel.Analyze(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst = res.WorstLatency
-	}
-	b.ReportMetric(float64(worst)/1e3, "worst-ms")
 }
 
 // BenchmarkLifetimePlan measures the inverse-bound planning path.

@@ -63,7 +63,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -76,6 +75,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/strictjson"
 )
 
 func main() {
@@ -540,8 +540,8 @@ func resolveSweep(name string) (engine.SweepSpec, error) {
 }
 
 // resolveSpecArg resolves a -sweep/-adaptive argument: a registry preset
-// name first, else a strict JSON spec file (unknown keys rejected, like
-// -spec files — a typo'd field must not silently vanish).
+// name first, else a strict JSON spec file (unknown keys and trailing data
+// rejected, like -spec files).
 func resolveSpecArg[T any](name, what string, preset func(string) (T, error)) (T, error) {
 	var zero T
 	sp, err := preset(name)
@@ -558,9 +558,7 @@ func resolveSpecArg[T any](name, what string, preset func(string) (T, error)) (T
 		return zero, fmt.Errorf("%v; reading it as a %s file also failed: %w", err, what, ferr)
 	}
 	var fromFile T
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.DisallowUnknownFields()
-	if jerr := dec.Decode(&fromFile); jerr != nil {
+	if jerr := strictjson.Decode(bytes.NewReader(blob), &fromFile); jerr != nil {
 		return zero, fmt.Errorf("parsing %s %s: %w", what, name, jerr)
 	}
 	return fromFile, nil
@@ -639,19 +637,7 @@ func collect(suite, scenario, spec string) ([]engine.Scenario, string, error) {
 // element isn't masked by the unhelpful "cannot unmarshal array into
 // object" of the fallback).
 func parseSpec(path string, blob []byte) ([]engine.Scenario, error) {
-	strict := func(v any) error {
-		dec := json.NewDecoder(bytes.NewReader(blob))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(v); err != nil {
-			return err
-		}
-		// A decoder stops after one value; trailing content (a bad
-		// concatenation, a merge artifact) must not be silently dropped.
-		if _, err := dec.Token(); err != io.EOF {
-			return fmt.Errorf("trailing data after the first JSON value")
-		}
-		return nil
-	}
+	strict := func(v any) error { return strictjson.Decode(bytes.NewReader(blob), v) }
 	var arr []engine.Scenario
 	arrErr := strict(&arr)
 	if arrErr == nil {

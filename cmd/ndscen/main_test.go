@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestParseSpecBareArray(t *testing.T) {
@@ -128,6 +131,26 @@ func TestResolveSweepRejectsTypoedField(t *testing.T) {
 	}
 	if _, err := resolveSweep(path); err == nil || !strings.Contains(err.Error(), "axez") {
 		t.Fatalf("typo'd sweep field accepted: %v", err)
+	}
+}
+
+// A sweep spec file followed by another document must be refused, not run
+// from its first document.
+func TestResolveSweepRejectsTrailingData(t *testing.T) {
+	sp, err := engine.SweepPreset("sweep-density")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, append(blob, `{"this is": "trailing garbage"}`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resolveSweep(path); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Fatalf("sweep file with trailing data: got %v, want a trailing-data error", err)
 	}
 }
 

@@ -13,13 +13,13 @@ package analyzers
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/strictjson"
 )
 
 // Config is the suite's configuration document: one section per analyzer.
@@ -87,17 +87,16 @@ type GoldenPurityConfig struct {
 	RuntimeKey string `json:"runtime_key,omitempty"`
 }
 
-// LoadConfig reads and strictly parses a Config file: unknown keys are
-// rejected so a typo'd section cannot silently disable a pass.
+// LoadConfig reads and strictly parses a Config file: unknown keys and
+// trailing data are rejected so a typo'd section cannot silently disable a
+// pass.
 func LoadConfig(path string) (Config, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.DisallowUnknownFields()
 	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(blob), &cfg); err != nil {
 		return Config{}, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	return cfg, nil

@@ -91,7 +91,7 @@ func BenchmarkExactPointMC(b *testing.B) {
 }
 
 // BenchmarkMultiChannelPairScenario measures the multi-channel pair path
-// (sim.MultiChannelPairTrial on the world kernel).
+// (sim.MultiChannelPairTrialScratch on the world kernel).
 func BenchmarkMultiChannelPairScenario(b *testing.B) {
 	sc, err := Preset("ble3-fast")
 	if err != nil {
@@ -101,7 +101,7 @@ func BenchmarkMultiChannelPairScenario(b *testing.B) {
 }
 
 // BenchmarkSlotGridPairScenario measures the slot-aligned pair path
-// (sim.SlotGridPair.Trial on the world kernel).
+// (sim.SlotGridPair.TrialScratch on the world kernel).
 func BenchmarkSlotGridPairScenario(b *testing.B) {
 	suite, err := Suite("slotgrid")
 	if err != nil {
@@ -112,7 +112,7 @@ func BenchmarkSlotGridPairScenario(b *testing.B) {
 
 // BenchmarkMultiChannelGroupScenario measures the kernel's multi-node
 // multi-channel group path with per-channel collisions and half-duplex
-// radios (sim.MultiChannelGroupTrial).
+// radios (sim.MultiChannelGroupTrialScratch).
 func BenchmarkMultiChannelGroupScenario(b *testing.B) {
 	sc, err := Preset("ble3-crowd")
 	if err != nil {

@@ -30,16 +30,16 @@ const (
 	// workloads).
 	modePair buildMode = iota
 	// modeMultiChannel is the multi-channel advertiser/scanner pair
-	// (sim.MultiChannelPairTrial against multichannel.Analyze).
+	// (sim.MultiChannelPairTrialScratch against multichannel.Analyze).
 	modeMultiChannel
 	// modeSlotGrid is the slot-aligned slotted pair
-	// (sim.SlotGridPairTrial against slots.Analyze).
+	// (sim.SlotGridPair.TrialScratch against slots.Analyze).
 	modeSlotGrid
 	// modeMultiChannelGroup is the multi-node multi-channel workload on
-	// the world kernel (sim.MultiChannelGroupTrial /
-	// sim.MultiChannelChurnTrial with per-channel collision accounting);
-	// the pairwise multichannel.Analyze facts stay attached as the
-	// quiet-channel baseline.
+	// the world kernel (sim.MultiChannelGroupTrialScratch /
+	// sim.MultiChannelChurnTrialScratch with per-channel collision
+	// accounting); the pairwise multichannel.Analyze facts stay attached
+	// as the quiet-channel baseline.
 	modeMultiChannelGroup
 )
 

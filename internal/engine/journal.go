@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,6 +9,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/durable"
+	"repro/internal/strictjson"
 )
 
 // The job journal makes long runs crash-resumable: a journaled run writes
@@ -55,6 +55,17 @@ func journalPointPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("point-%04d.json", i))
 }
 
+// decodeJournalManifest strictly reads a journal.json manifest: unknown
+// keys and trailing data are errors. It does not judge the codec; the
+// caller compares the whole manifest against its job.
+func decodeJournalManifest(data []byte) (journalManifest, error) {
+	var m journalManifest
+	if err := strictjson.Decode(bytes.NewReader(data), &m); err != nil {
+		return journalManifest{}, err
+	}
+	return m, nil
+}
+
 // openJournal verifies the directory's manifest against this job, creating
 // the directory and manifest on first use.
 func openJournal(dir string, want journalManifest) error {
@@ -73,10 +84,8 @@ func openJournal(dir string, want journalManifest) error {
 	if err != nil {
 		return err
 	}
-	var got journalManifest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&got); err != nil {
+	got, err := decodeJournalManifest(data)
+	if err != nil {
 		return fmt.Errorf("engine: journal manifest %s: %w", path, err)
 	}
 	if got.Codec != want.Codec {

@@ -135,6 +135,32 @@ func TestJournalRejectsPreviousCodec(t *testing.T) {
 	}
 }
 
+// Content appended to a valid manifest must fail the resume, not be
+// silently dropped by a decoder that stops after one document.
+func TestJournalRejectsTrailingManifestData(t *testing.T) {
+	sp := journalSweep()
+	scenarios, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := RunJournaled(sp.Name, scenarios, Options{Workers: 2}, dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "journal.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, `{"junk": 1}`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunJournaled(sp.Name, scenarios, Options{Workers: 2}, dir)
+	if err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Fatalf("manifest with trailing data: got %v, want a trailing-data error", err)
+	}
+}
+
 // A torn or tampered journal entry fails the resume loudly.
 func TestJournalCorruptEntry(t *testing.T) {
 	sp := journalSweep()

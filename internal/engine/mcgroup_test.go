@@ -69,13 +69,14 @@ func TestMultiChannelGroupMatchesSerialTrials(t *testing.T) {
 	horizon := agg.Horizon
 	cfg := sim.Config{Horizon: horizon, Collisions: true, HalfDuplex: true}
 	hash := sc.Hash()
+	scr := sim.NewScratch()
 	var transmissions, collided, discovered, missed int
 	chanTx := make([]int, b.MC.Channels)
 	chanColl := make([]int, b.MC.Channels)
 	chanDisc := make([]int, b.MC.Channels)
 	for trial := 0; trial < sc.Trials; trial++ {
 		rng := rand.New(sim.NewFastSource(trialSeed(hash, trial)))
-		res, err := sim.MultiChannelGroupTrial(b.MC, sc.Population, cfg, rng)
+		res, err := sim.MultiChannelGroupTrialScratch(b.MC, sc.Population, cfg, rng, scr)
 		if err != nil {
 			t.Fatal(err)
 		}

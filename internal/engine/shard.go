@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/durable"
+	"repro/internal/strictjson"
 )
 
 // This file is the shard/merge execution layer: it splits any scenario
@@ -257,13 +258,8 @@ func DecodeSnapshot(r io.Reader) (Snapshot, error) {
 		}
 	}
 	var s Snapshot
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(data), &s); err != nil {
 		return Snapshot{}, fmt.Errorf("engine: decoding snapshot: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Snapshot{}, fmt.Errorf("engine: decoding snapshot: trailing data after the document")
 	}
 	if err := s.Validate(); err != nil {
 		return Snapshot{}, err

@@ -13,9 +13,11 @@ import (
 	"repro/internal/timebase"
 )
 
-// AblationResult collects the design-choice ablations DESIGN.md calls out,
-// as a printable report (the benchmark harness measures the same
-// quantities continuously; this runner makes them a one-command artifact).
+// AblationResult collects four design-choice ablations — the interval
+// sweep vs brute-force offsets, equal vs perturbed beacon gaps, the slot
+// length and the redundancy degree Q — as a printable report (the root
+// bench_test.go measures the same quantities continuously; this runner
+// makes them a one-command artifact).
 type AblationResult struct {
 	// SweepMicros and BruteMicros time one worst-case analysis of the
 	// reference pair with the interval sweep vs. brute-force offsets.

@@ -9,6 +9,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 
 	"repro/internal/collision"
@@ -535,22 +536,30 @@ func RunCollisionMC(p core.Params, trials int) (CollisionMCResult, error) {
 	dev := schedule.Device{B: b, C: schedule.WindowSeq{
 		Windows: []schedule.Window{{Start: gap - 360, Len: 360}}, Period: gap}}
 	beta := dev.B.Beta()
+	cfg := sim.Config{Horizon: 60 * gap, Collisions: true, Jitter: gap / 3}
+	scr := sim.NewScratch()
 	for _, s := range []int{2, 5, 10, 20} {
-		group, err := sim.GroupDiscovery(dev, s, trials, sim.Config{
-			Horizon:    60 * gap,
-			Collisions: true,
-			Jitter:     gap / 3,
-			Seed:       1234,
-		})
-		if err != nil {
-			return res, err
+		// Each row restarts the same seeded trial stream.
+		rng := rand.New(rand.NewSource(1234))
+		row := CollisionMCRow{S: s, Beta: beta, Predicted: core.CollisionProbability(s, beta)}
+		var transmissions, collided, pairs, misses int
+		for t := 0; t < trials; t++ {
+			tr, err := sim.GroupTrialScratch(dev, s, cfg, rng, scr)
+			if err != nil {
+				return res, err
+			}
+			transmissions += tr.Transmissions
+			collided += tr.Collided
+			pairs += len(tr.Samples) + tr.Misses
+			misses += tr.Misses
 		}
-		res.Rows = append(res.Rows, CollisionMCRow{
-			S: s, Beta: beta,
-			Predicted: core.CollisionProbability(s, beta),
-			Measured:  group.CollisionRate,
-			Failure:   group.Latency.FailureRate(),
-		})
+		if transmissions > 0 {
+			row.Measured = float64(collided) / float64(transmissions)
+		}
+		if pairs > 0 {
+			row.Failure = float64(misses) / float64(pairs)
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/strictjson"
 )
 
 // JobRequest is the POST /v1/jobs body: what to run (a registry name or an
@@ -155,13 +156,8 @@ func (j *Job) status() JobStatus {
 // after the one JSON document are rejected.
 func decodeJobRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := strictjson.Decode(r, &req); err != nil {
 		return JobRequest{}, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return JobRequest{}, fmt.Errorf("trailing data after the request document")
 	}
 	return req, nil
 }

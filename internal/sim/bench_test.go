@@ -64,8 +64,8 @@ func BenchmarkPairTrialScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkPairTrialFreshArena is the same trial through the allocating
-// wrapper: the delta against BenchmarkPairTrialScratch is what arena reuse
+// BenchmarkPairTrialFreshArena is the same trial on a fresh arena per
+// trial: the delta against BenchmarkPairTrialScratch is what arena reuse
 // buys per trial.
 func BenchmarkPairTrialFreshArena(b *testing.B) {
 	e, f := benchPair(b)
@@ -74,7 +74,7 @@ func BenchmarkPairTrialFreshArena(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := PairTrial(e, f, cfg, rng); err != nil {
+		if _, _, err := PairTrialScratch(e, f, cfg, rng, NewScratch()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/optimal"
@@ -17,14 +19,14 @@ func TestNodePresenceGatesTransmissions(t *testing.T) {
 		{Device: schedule.Device{B: b}, Arrive: 100, Depart: 200},
 		{Device: schedule.Device{C: c}},
 	}
-	res, err := Run(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Transmissions != 1 {
 		t.Errorf("transmissions = %d, want 1 (only the beacon inside presence)", res.Transmissions)
 	}
-	at, ok := res.FirstDiscovery(1, 0)
+	at, ok := firstEnd(res, 1, 0)
 	if !ok || at != 160 {
 		t.Errorf("discovery at %v (ok=%v), want 160", at, ok)
 	}
@@ -39,11 +41,11 @@ func TestNodePresenceGatesReception(t *testing.T) {
 		{Device: schedule.Device{B: b}},
 		{Device: schedule.Device{C: c}, Arrive: 100},
 	}
-	res, err := Run(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, ok := res.FirstDiscovery(1, 0)
+	at, ok := firstEnd(res, 1, 0)
 	if !ok || at != 160 {
 		t.Errorf("discovery at %v (ok=%v), want 160", at, ok)
 	}
@@ -56,13 +58,39 @@ func TestDepartedReceiverHearsNothing(t *testing.T) {
 		{Device: schedule.Device{B: b}},
 		{Device: schedule.Device{C: c}, Depart: 400},
 	}
-	res, err := Run(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.FirstDiscovery(1, 0); ok {
+	if _, ok := firstEnd(res, 1, 0); ok {
 		t.Error("receiver heard a beacon after departing")
 	}
+}
+
+// churnStats runs the given number of churn trials of s devices on one
+// arena, drawing from one rng seeded with cfg.Seed, and summarizes the
+// judged contacts.
+func churnStats(t *testing.T, dev schedule.Device, s, trials int, stay timebase.Ticks, cfg Config) Stats {
+	t.Helper()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	scr := NewScratch()
+	var samples []timebase.Ticks
+	misses := 0
+	for i := 0; i < trials; i++ {
+		contacts, _, err := ChurnTrialScratch(dev, s, stay, cfg, rng, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range contacts {
+			if c.Discovered {
+				samples = append(samples, c.Latency)
+			} else {
+				misses++
+			}
+		}
+	}
+	slices.Sort(samples)
+	return CollectSorted(samples, misses)
 }
 
 func TestChurnDiscoveryLongContacts(t *testing.T) {
@@ -73,13 +101,10 @@ func TestChurnDiscoveryLongContacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	worst := pair.WorstCase()
-	stats, err := ChurnDiscovery(pair.E, 4, 20, 0, Config{
+	stats := churnStats(t, pair.E, 4, 20, 0, Config{
 		Horizon: 8 * worst,
 		Seed:    5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if stats.N == 0 {
 		t.Fatal("no pairs judged")
 	}
@@ -104,13 +129,10 @@ func TestChurnDiscoveryShortContacts(t *testing.T) {
 		period = pair.E.C.Period
 	}
 	stay := period + worst/4 // long enough to be judged, short vs worst case
-	stats, err := ChurnDiscovery(pair.E, 6, 30, stay, Config{
+	stats := churnStats(t, pair.E, 6, 30, stay, Config{
 		Horizon: 8 * worst,
 		Seed:    6,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if stats.N == 0 {
 		t.Skip("no pairs overlapped long enough; adjust parameters")
 	}
@@ -125,7 +147,7 @@ func TestChurnDiscoveryShortContacts(t *testing.T) {
 
 func TestChurnRejectsBadArgs(t *testing.T) {
 	pair, _ := optimal.NewSymmetric(36, 1, 0.05)
-	if _, err := ChurnDiscovery(pair.E, 1, 5, 0, Config{Horizon: 1000}); err == nil {
+	if _, _, err := ChurnTrialScratch(pair.E, 1, 0, Config{Horizon: 1000}, rand.New(rand.NewSource(0)), NewScratch()); err == nil {
 		t.Error("s=1 accepted")
 	}
 }

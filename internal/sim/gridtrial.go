@@ -14,9 +14,9 @@ import (
 // slot-domain literature's model — both schedules on a shared grid of
 // slotLen-tick slots, discovery in the first slot where both are active —
 // executed as a configuration of the world kernel. The trial follows the
-// same contract as PairTrial: all randomness comes from the caller-supplied
-// rng, so a caller owning one rng per trial can shard trials across
-// goroutines with results bit-identical to a serial loop.
+// same contract as PairTrialScratch: all randomness comes from the
+// caller-supplied rng, so a caller owning one rng per trial can shard
+// trials across goroutines with results bit-identical to a serial loop.
 
 // SlotGridPair is the prepared form of a slot-aligned pair: the schedules
 // validated and their kernel schedule templates built once, so per-trial
@@ -70,19 +70,14 @@ func NewSlotGridPair(a, b slots.Schedule, slotLen timebase.Ticks) (*SlotGridPair
 	return p, nil
 }
 
-// Trial runs one slot-aligned trial: both phases are drawn uniform over
-// the schedules' own periods, and discovery happens in the first slot
-// where both are active (completing at that slot's end, so discovery in
-// slot t costs (t+1)·slotLen). This is the slot-domain literature's model
-// executed literally — the ensemble slots.Analyze integrates over — as
-// opposed to the continuous-time path, which draws arbitrary tick-level
-// offsets and therefore sees the misalignment losses of the paper's
-// Figure 5.
-func (p *SlotGridPair) Trial(horizon timebase.Ticks, rng *rand.Rand) (timebase.Ticks, bool, error) {
-	return p.TrialScratch(horizon, rng, NewScratch())
-}
-
-// TrialScratch is Trial against a caller-owned arena.
+// TrialScratch runs one slot-aligned trial on the arena scr: both phases
+// are drawn uniform over the schedules' own periods, and discovery happens
+// in the first slot where both are active (completing at that slot's end,
+// so discovery in slot t costs (t+1)·slotLen). This is the slot-domain
+// literature's model executed literally — the ensemble slots.Analyze
+// integrates over — as opposed to the continuous-time path, which draws
+// arbitrary tick-level offsets and therefore sees the misalignment losses
+// of the paper's Figure 5.
 func (p *SlotGridPair) TrialScratch(horizon timebase.Ticks, rng *rand.Rand, scr *Scratch) (timebase.Ticks, bool, error) {
 	if horizon <= 0 {
 		return 0, false, fmt.Errorf("sim: horizon %d must be positive", horizon)
@@ -131,15 +126,4 @@ func (p *SlotGridPair) TrialScratch(horizon timebase.Ticks, rng *rand.Rand, scr 
 			return 0, false, nil
 		}
 	}
-}
-
-// SlotGridPairTrial is the one-shot convenience form of SlotGridPair:
-// prepare and run a single trial. Callers running many trials should
-// prepare once and call Trial.
-func SlotGridPairTrial(a, b slots.Schedule, slotLen, horizon timebase.Ticks, rng *rand.Rand) (timebase.Ticks, bool, error) {
-	p, err := NewSlotGridPair(a, b, slotLen)
-	if err != nil {
-		return 0, false, err
-	}
-	return p.Trial(horizon, rng)
 }

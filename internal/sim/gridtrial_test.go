@@ -24,12 +24,13 @@ func TestMultiChannelPairTrialMatchesAnalysis(t *testing.T) {
 		t.Fatal("the fast point must be deterministic")
 	}
 	rng := rand.New(NewFastSource(42))
+	scr := NewScratch()
 	const trials = 5000
 	horizon := 2 * res.WorstLatency
 	var sum float64
 	chans := make([]int, cfg.Channels)
 	for i := 0; i < trials; i++ {
-		oc, err := MultiChannelPairTrial(cfg, horizon, rng)
+		oc, err := MultiChannelPairTrialScratch(cfg, horizon, rng, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +71,12 @@ func TestMultiChannelPairTrialCoverage(t *testing.T) {
 		t.Fatal("configuration should be gappy")
 	}
 	rng := rand.New(NewFastSource(7))
+	scr := NewScratch()
 	const trials = 4000
 	horizon := timebase.Ticks(20) * cfg.Ta
 	disc := 0
 	for i := 0; i < trials; i++ {
-		oc, err := MultiChannelPairTrial(cfg, horizon, rng)
+		oc, err := MultiChannelPairTrialScratch(cfg, horizon, rng, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +94,11 @@ func TestMultiChannelPairTrialCoverage(t *testing.T) {
 // the same trial — the property the engine's per-trial sharding rests on.
 func TestMultiChannelPairTrialDeterministicStream(t *testing.T) {
 	cfg := multichannel.BLE(20_000, 128, 30_000, 30_000)
-	a, err := MultiChannelPairTrial(cfg, 200_000, rand.New(NewFastSource(99)))
+	a, err := MultiChannelPairTrialScratch(cfg, 200_000, rand.New(NewFastSource(99)), NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MultiChannelPairTrial(cfg, 200_000, rand.New(NewFastSource(99)))
+	b, err := MultiChannelPairTrialScratch(cfg, 200_000, rand.New(NewFastSource(99)), NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +124,17 @@ func TestSlotGridPairTrialMatchesAnalysis(t *testing.T) {
 	}
 	slotLen := timebase.Ticks(1000)
 	horizon := timebase.Ticks(res.WorstSlots) * slotLen * 2
+	pair, err := NewSlotGridPair(sched, sched, slotLen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(NewFastSource(3))
+	scr := NewScratch()
 	const trials = 20000
 	var sum float64
 	worstSeen := timebase.Ticks(0)
 	for i := 0; i < trials; i++ {
-		at, ok, err := SlotGridPairTrial(sched, sched, slotLen, horizon, rng)
+		at, ok, err := pair.TrialScratch(horizon, rng, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +173,15 @@ func TestSlotGridPairTrialHorizon(t *testing.T) {
 	}
 	slotLen := timebase.Ticks(1000)
 	horizon := 3 * slotLen
+	pair, err := NewSlotGridPair(sched, sched, slotLen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(NewFastSource(11))
+	scr := NewScratch()
 	misses := 0
 	for i := 0; i < 500; i++ {
-		at, ok, err := SlotGridPairTrial(sched, sched, slotLen, horizon, rng)
+		at, ok, err := pair.TrialScratch(horizon, rng, scr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,9 @@ import (
 // (the workload multichannel.Analyze answers exactly) and the multi-node
 // workloads the exact analysis cannot reach — N advertisers rotating
 // channels with per-channel ALOHA collisions, statically present or
-// churning in and out. Every primitive follows the PairTrial contract: all
-// randomness comes from the caller-supplied rng, so a caller owning one
-// rng per trial can shard trials across goroutines with results
+// churning in and out. Every primitive follows the PairTrialScratch
+// contract: all randomness comes from the caller-supplied rng, so a caller
+// owning one rng per trial can shard trials across goroutines with results
 // bit-identical to a serial loop.
 
 // advertiserEmissions builds a BLE-style advertiser's kernel schedules:
@@ -72,20 +72,15 @@ type MultiChannelOutcome struct {
 	Channel int
 }
 
-// MultiChannelPairTrial runs one trial of a multi-channel advertiser
-// against a channel-cycling scanner: the advertiser's event phase is drawn
-// uniform over the advertising interval (so range entry is uniform in
-// time) and the scanner's cycle offset uniform over its channel cycle,
-// exactly the ensemble multichannel.Analyze integrates over. A PDU on
-// channel c is received iff it starts inside the scanner's window on c;
-// PDUs that began before range entry are lost.
-func MultiChannelPairTrial(cfg multichannel.Config, horizon timebase.Ticks, rng *rand.Rand) (MultiChannelOutcome, error) {
-	return MultiChannelPairTrialScratch(cfg, horizon, rng, NewScratch())
-}
-
-// MultiChannelPairTrialScratch is MultiChannelPairTrial against a
-// caller-owned arena: the kernel buffers, the node set and the per-channel
-// schedule templates (memoized per config) all come from scr.
+// MultiChannelPairTrialScratch runs one trial of a multi-channel
+// advertiser against a channel-cycling scanner: the advertiser's event
+// phase is drawn uniform over the advertising interval (so range entry is
+// uniform in time) and the scanner's cycle offset uniform over its channel
+// cycle, exactly the ensemble multichannel.Analyze integrates over. A PDU
+// on channel c is received iff it starts inside the scanner's window on c;
+// PDUs that began before range entry are lost. The kernel buffers, the
+// node set and the per-channel schedule templates (memoized per config)
+// all come from scr.
 func MultiChannelPairTrialScratch(cfg multichannel.Config, horizon timebase.Ticks, rng *rand.Rand, scr *Scratch) (MultiChannelOutcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return MultiChannelOutcome{}, err
@@ -250,18 +245,13 @@ func poolMultiChannel(nodes []WorldNode, wr WorldResult, channels int, horizon, 
 	return out
 }
 
-// MultiChannelGroupTrial runs one trial of s identical BLE-style devices,
-// each advertising every interval on all channels and scanning the channel
-// cycle, with phases drawn uniform per device — the multi-node multi-channel
-// workload the pairwise analysis cannot model. The channel semantics
-// (per-channel ALOHA collisions, half-duplex, jitter) come from cfg.
-func MultiChannelGroupTrial(mc multichannel.Config, s int, cfg Config, rng *rand.Rand) (MultiChannelGroupResult, error) {
-	return MultiChannelGroupTrialScratch(mc, s, cfg, rng, NewScratch())
-}
-
-// MultiChannelGroupTrialScratch is MultiChannelGroupTrial against a
-// caller-owned arena. The returned result is fully owned by the caller
-// (samples, contacts and per-channel loads are copied out of the arena).
+// MultiChannelGroupTrialScratch runs one trial of s identical BLE-style
+// devices, each advertising every interval on all channels and scanning
+// the channel cycle, with phases drawn uniform per device — the multi-node
+// multi-channel workload the pairwise analysis cannot model. The channel
+// semantics (per-channel ALOHA collisions, half-duplex, jitter) come from
+// cfg. The returned result is fully owned by the caller (samples,
+// contacts and per-channel loads are copied out of the arena).
 func MultiChannelGroupTrialScratch(mc multichannel.Config, s int, cfg Config, rng *rand.Rand, scr *Scratch) (MultiChannelGroupResult, error) {
 	nodes, wr, err := runMultiChannelWorld(mc, s, false, 0, cfg, rng, scr)
 	if err != nil {
@@ -270,20 +260,15 @@ func MultiChannelGroupTrialScratch(mc multichannel.Config, s int, cfg Config, rn
 	return poolMultiChannel(nodes, wr, mc.Channels, cfg.Horizon, 0, false), nil
 }
 
-// MultiChannelChurnTrial runs one trial of the churning multi-channel
-// neighborhood: s identical BLE-style devices arrive at uniformly random
-// times in the first half of the horizon and stay for stay ticks (0 =
-// until the end). Ordered pairs whose joint presence spans at least the
-// scanner's full channel cycle are judged — long enough that every channel
-// got a chance, short enough that bounded contacts are still evaluated and
-// can legitimately miss — and latency is measured from the joint-presence
-// instant to the first received PDU's start.
-func MultiChannelChurnTrial(mc multichannel.Config, s int, stay timebase.Ticks, cfg Config, rng *rand.Rand) (MultiChannelGroupResult, error) {
-	return MultiChannelChurnTrialScratch(mc, s, stay, cfg, rng, NewScratch())
-}
-
-// MultiChannelChurnTrialScratch is MultiChannelChurnTrial against a
-// caller-owned arena. The returned result is fully owned by the caller.
+// MultiChannelChurnTrialScratch runs one trial of the churning
+// multi-channel neighborhood: s identical BLE-style devices arrive at
+// uniformly random times in the first half of the horizon and stay for
+// stay ticks (0 = until the end). Ordered pairs whose joint presence spans
+// at least the scanner's full channel cycle are judged — long enough that
+// every channel got a chance, short enough that bounded contacts are still
+// evaluated and can legitimately miss — and latency is measured from the
+// joint-presence instant to the first received PDU's start. The returned
+// result is fully owned by the caller.
 func MultiChannelChurnTrialScratch(mc multichannel.Config, s int, stay timebase.Ticks, cfg Config, rng *rand.Rand, scr *Scratch) (MultiChannelGroupResult, error) {
 	if cfg.Horizon < 2 {
 		return MultiChannelGroupResult{}, fmt.Errorf("sim: churn horizon %d must be ≥ 2", cfg.Horizon)

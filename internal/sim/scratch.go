@@ -12,9 +12,9 @@ import (
 // map and RNG the hot path needs lives here and is reused across trials,
 // so a steady-state trial allocates nothing beyond the samples it hands
 // back. A Scratch is NOT safe for concurrent use — the engine owns one per
-// worker goroutine; serial callers get a fresh one per call through the
-// non-scratch wrappers (RunWorld, PairTrial, ...), which keeps those call
-// sites bit-identical to the pre-arena code.
+// worker goroutine, and a serial caller holds one across its loop. Reuse
+// never changes a result: a trial on a reused arena is bit-identical to
+// the same trial on a fresh one.
 //
 // Ownership rule: a WorldResult produced through a Scratch aliases the
 // arena (First maps, PerChannel loads). It is valid only until the next

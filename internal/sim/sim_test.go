@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/coverage"
@@ -13,13 +15,26 @@ import (
 func senderOnly(b schedule.BeaconSeq) schedule.Device { return schedule.Device{B: b} }
 func listenOnly(c schedule.WindowSeq) schedule.Device { return schedule.Device{C: c} }
 
+// runNodes runs single-channel nodes through the kernel on a fresh arena.
+func runNodes(nodes []Node, cfg Config) (WorldResult, error) {
+	scr := NewScratch()
+	return RunWorldScratch(worldFromNodes(nodes, scr), cfg, scr)
+}
+
+// firstEnd returns when receiver first heard sender: the completion time
+// of the first received packet.
+func firstEnd(res WorldResult, receiver, sender int) (timebase.Ticks, bool) {
+	rec, ok := res.FirstReception(receiver, sender)
+	return rec.End, ok
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
 	u, _ := optimal.NewUnidirectional(2, 10, 4, 1)
 	nodes := []Node{{Device: senderOnly(u.Sender)}, {Device: listenOnly(u.Listener)}}
-	if _, err := Run(nodes, Config{Horizon: 0}); err == nil {
+	if _, err := runNodes(nodes, Config{Horizon: 0}); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := Run(nodes[:1], Config{Horizon: 100}); err == nil {
+	if _, err := runNodes(nodes[:1], Config{Horizon: 100}); err == nil {
 		t.Error("single node accepted")
 	}
 }
@@ -34,11 +49,11 @@ func TestRunBasicDiscovery(t *testing.T) {
 		{Device: senderOnly(u.Sender), Phase: 0},
 		{Device: listenOnly(u.Listener), Phase: 0},
 	}
-	res, err := Run(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, ok := res.FirstDiscovery(1, 0)
+	at, ok := firstEnd(res, 1, 0)
 	if !ok {
 		t.Fatal("no discovery")
 	}
@@ -48,7 +63,7 @@ func TestRunBasicDiscovery(t *testing.T) {
 		t.Errorf("first discovery at %d, want 32", at)
 	}
 	// The sender never listens: it must not discover anyone.
-	if _, ok := res.FirstDiscovery(0, 1); ok {
+	if _, ok := firstEnd(res, 0, 1); ok {
 		t.Error("transmit-only node discovered someone")
 	}
 }
@@ -59,12 +74,12 @@ func TestRunRespectsPhases(t *testing.T) {
 		{Device: senderOnly(u.Sender), Phase: 5},
 		{Device: listenOnly(u.Listener), Phase: 0},
 	}
-	res, err := Run(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Beacons now at 5, 35, 65, 95…; windows [30,40)… → beacon at 35.
-	if at, ok := res.FirstDiscovery(1, 0); !ok || at != 37 {
+	if at, ok := firstEnd(res, 1, 0); !ok || at != 37 {
 		t.Errorf("discovery at %v (ok=%v), want 37", at, ok)
 	}
 }
@@ -78,11 +93,24 @@ func TestPairLatenciesMatchesCoverageWorstCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := PairLatencies(senderOnly(u.Sender), listenOnly(u.Listener), 300,
-		Config{Horizon: 4 * u.WorstCase, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{Horizon: 4 * u.WorstCase}
+	rng := rand.New(rand.NewSource(42))
+	scr := NewScratch()
+	var samples []timebase.Ticks
+	misses := 0
+	for i := 0; i < 300; i++ {
+		at, ok, err := PairTrialScratch(senderOnly(u.Sender), listenOnly(u.Listener), cfg, rng, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			samples = append(samples, at)
+		} else {
+			misses++
+		}
 	}
+	slices.Sort(samples)
+	stats := CollectSorted(samples, misses)
 	if stats.Misses != 0 {
 		t.Fatalf("%d misses despite deterministic schedule", stats.Misses)
 	}
@@ -109,19 +137,19 @@ func TestCollisionsDestroyOverlappingPackets(t *testing.T) {
 		{Device: senderOnly(b), Phase: 5}, // overlaps [5,15) vs [0,10)
 		{Device: listenOnly(c), Phase: 0},
 	}
-	res, err := Run(nodes, Config{Horizon: 1000, Collisions: true})
+	res, err := runNodes(nodes, Config{Horizon: 1000, Collisions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Collided != res.Transmissions {
 		t.Errorf("all packets should collide: %d/%d", res.Collided, res.Transmissions)
 	}
-	if _, ok := res.FirstDiscovery(2, 0); ok {
+	if _, ok := firstEnd(res, 2, 0); ok {
 		t.Error("collided packet was received")
 	}
 	// Same setup without the collision channel: reception succeeds.
-	res2, _ := Run(nodes, Config{Horizon: 1000, Collisions: false})
-	if _, ok := res2.FirstDiscovery(2, 0); !ok {
+	res2, _ := runNodes(nodes, Config{Horizon: 1000, Collisions: false})
+	if _, ok := firstEnd(res2, 2, 0); !ok {
 		t.Error("no reception even without collisions")
 	}
 }
@@ -138,7 +166,7 @@ func TestCollisionChainMarking(t *testing.T) {
 		{Device: senderOnly(s2)},
 		{Device: listenOnly(schedule.WindowSeq{Windows: []schedule.Window{{Start: 0, Len: 1000}}, Period: 1000})},
 	}
-	res, err := Run(nodes, Config{Horizon: 1000, Collisions: true})
+	res, err := runNodes(nodes, Config{Horizon: 1000, Collisions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +184,15 @@ func TestHalfDuplexBlocksOwnReception(t *testing.T) {
 		{Device: senderOnly(sender)},
 		{Device: schedule.Device{B: rxB, C: rxC}},
 	}
-	res, err := Run(nodes, Config{Horizon: 1000, HalfDuplex: true})
+	res, err := runNodes(nodes, Config{Horizon: 1000, HalfDuplex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.FirstDiscovery(1, 0); ok {
+	if _, ok := firstEnd(res, 1, 0); ok {
 		t.Error("half-duplex radio received while transmitting")
 	}
-	res2, _ := Run(nodes, Config{Horizon: 1000, HalfDuplex: false})
-	if _, ok := res2.FirstDiscovery(1, 0); !ok {
+	res2, _ := runNodes(nodes, Config{Horizon: 1000, HalfDuplex: false})
+	if _, ok := firstEnd(res2, 1, 0); !ok {
 		t.Error("full-duplex control case failed to receive")
 	}
 }
@@ -177,12 +205,12 @@ func TestTruncatedWindowsSemantics(t *testing.T) {
 		{Device: senderOnly(sender)},
 		{Device: listenOnly(c)},
 	}
-	res, _ := Run(nodes, Config{Horizon: 1000, TruncatedWindows: true})
-	if _, ok := res.FirstDiscovery(1, 0); ok {
+	res, _ := runNodes(nodes, Config{Horizon: 1000, TruncatedWindows: true})
+	if _, ok := firstEnd(res, 1, 0); ok {
 		t.Error("truncated packet received under A.3 semantics")
 	}
-	res2, _ := Run(nodes, Config{Horizon: 1000})
-	if _, ok := res2.FirstDiscovery(1, 0); !ok {
+	res2, _ := runNodes(nodes, Config{Horizon: 1000})
+	if _, ok := firstEnd(res2, 1, 0); !ok {
 		t.Error("default semantics should accept the partially overlapping packet")
 	}
 }
@@ -199,18 +227,25 @@ func TestCollisionRateMatchesEq12(t *testing.T) {
 	dev := schedule.Device{B: b, C: schedule.WindowSeq{
 		Windows: []schedule.Window{{Start: gap - 400, Len: 400}}, Period: gap}}
 	beta := dev.B.Beta()
+	cfg := Config{
+		Horizon:    40 * gap,
+		Collisions: true,
+		Jitter:     gap / 3, // decorrelate the periodic pattern
+	}
+	scr := NewScratch()
 	for _, s := range []int{2, 5, 10} {
-		res, err := GroupDiscovery(dev, s, 60, Config{
-			Horizon:    40 * gap,
-			Collisions: true,
-			Jitter:     gap / 3, // decorrelate the periodic pattern
-			Seed:       7,
-		})
-		if err != nil {
-			t.Fatal(err)
+		rng := rand.New(rand.NewSource(7))
+		transmissions, collided := 0, 0
+		for i := 0; i < 60; i++ {
+			tr, err := GroupTrialScratch(dev, s, cfg, rng, scr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			transmissions += tr.Transmissions
+			collided += tr.Collided
 		}
 		want := 1 - math.Exp(-2*float64(s-1)*beta)
-		got := res.CollisionRate
+		got := float64(collided) / float64(transmissions)
 		if math.Abs(got-want) > 0.5*want+0.01 {
 			t.Errorf("S=%d: collision rate %v, Eq 12 predicts %v", s, got, want)
 		}
@@ -231,25 +266,25 @@ func TestJitterDecorrelatesPhaseLockedCollisions(t *testing.T) {
 		{Device: senderOnly(b), Phase: 10}, // overlaps: |10| < ω
 		{Device: listener, Phase: 0},
 	}
-	noJitter, err := Run(nodes, Config{Horizon: 200000, Collisions: true, Seed: 1})
+	noJitter, err := runNodes(nodes, Config{Horizon: 200000, Collisions: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := noJitter.FirstDiscovery(2, 0); ok {
+	if _, ok := firstEnd(noJitter, 2, 0); ok {
 		t.Error("phase-locked collisions should never resolve without jitter")
 	}
-	withJitter, err := Run(nodes, Config{Horizon: 200000, Collisions: true, Jitter: 200, Seed: 1})
+	withJitter, err := runNodes(nodes, Config{Horizon: 200000, Collisions: true, Jitter: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := withJitter.FirstDiscovery(2, 0); !ok {
+	if _, ok := firstEnd(withJitter, 2, 0); !ok {
 		t.Error("jitter failed to decorrelate the collision pattern")
 	}
 }
 
 func TestCollectStats(t *testing.T) {
 	samples := []timebase.Ticks{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	st := Collect(samples, 2)
+	st := CollectSorted(samples, 2)
 	if st.N != 12 || st.Misses != 2 {
 		t.Errorf("N=%d Misses=%d", st.N, st.Misses)
 	}
@@ -265,7 +300,7 @@ func TestCollectStats(t *testing.T) {
 	if math.Abs(st.FailureRate()-2.0/12) > 1e-12 {
 		t.Errorf("FailureRate=%v", st.FailureRate())
 	}
-	empty := Collect(nil, 5)
+	empty := CollectSorted(nil, 5)
 	if empty.N != 5 || empty.FailureRate() != 1 {
 		t.Errorf("empty collect: %+v", empty)
 	}
@@ -278,16 +313,16 @@ func TestRunDeterministicForSeed(t *testing.T) {
 		{Device: senderOnly(u.Sender), Phase: 3},
 		{Device: listenOnly(u.Listener), Phase: 17},
 	}
-	a, err := Run(nodes, cfg)
+	a, err := runNodes(nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(nodes, cfg)
+	b, err := runNodes(nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	atA, okA := a.FirstDiscovery(1, 0)
-	atB, okB := b.FirstDiscovery(1, 0)
+	atA, okA := firstEnd(a, 1, 0)
+	atB, okB := firstEnd(b, 1, 0)
 	if okA != okB || atA != atB {
 		t.Errorf("same seed, different outcomes: (%v,%v) vs (%v,%v)", atA, okA, atB, okB)
 	}

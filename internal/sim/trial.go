@@ -12,15 +12,12 @@ import (
 // random choices (phases, arrivals) from the caller-supplied rng and runs
 // the event simulation on a child RNG stream derived from it, so a caller
 // that owns one rng per trial can shard trials across goroutines and still
-// obtain results bit-identical to a serial loop. Every primitive comes in
-// two forms: the Scratch variant the engine's workers call with a
-// per-worker arena, and a plain wrapper that allocates a fresh arena per
-// call — same results, no reuse hazards. The serial helpers
-// (PairLatencies, GroupDiscovery, ChurnContacts) are thin loops over these.
+// obtain results bit-identical to a serial loop. Every primitive runs on
+// a caller-owned arena: the engine's workers hold one each, and a one-off
+// caller passes NewScratch().
 
 // worldFromNodes materializes single-channel Nodes as WorldNodes on the
-// arena: every node's beacon and window schedules land on channel 0,
-// exactly the conversion Run performs.
+// arena: every node's beacon and window schedules land on channel 0.
 func worldFromNodes(nodes []Node, scr *Scratch) []WorldNode {
 	ws := scr.worldNodes(len(nodes), 1, 1)
 	for i := range nodes {
@@ -40,14 +37,10 @@ func worldFromNodes(nodes []Node, scr *Scratch) []WorldNode {
 	return ws
 }
 
-// PairTrial runs one trial of receiver f hearing sender e: both devices get
-// independent uniform random phases drawn from rng. It returns the first
-// reception time and whether discovery happened within the horizon.
-func PairTrial(e, f schedule.Device, cfg Config, rng *rand.Rand) (timebase.Ticks, bool, error) {
-	return PairTrialScratch(e, f, cfg, rng, NewScratch())
-}
-
-// PairTrialScratch is PairTrial against a caller-owned arena.
+// PairTrialScratch runs one trial of receiver f hearing sender e: both
+// devices get independent uniform random phases drawn from rng. It returns
+// the first reception time and whether discovery happened within the
+// horizon.
 func PairTrialScratch(e, f schedule.Device, cfg Config, rng *rand.Rand, scr *Scratch) (timebase.Ticks, bool, error) {
 	scr.nodes = grow(scr.nodes, 2)
 	scr.nodes[0] = Node{Device: e, Phase: randPhase(rng, e)}
@@ -58,7 +51,7 @@ func PairTrialScratch(e, f schedule.Device, cfg Config, rng *rand.Rand, scr *Scr
 	if err != nil {
 		return 0, false, err
 	}
-	// Discovery completes when the packet does, matching Run's convention.
+	// Discovery completes when the packet does.
 	rec, ok := wr.FirstReception(1, 0)
 	return rec.End, ok, nil
 }
@@ -78,15 +71,11 @@ type GroupTrialResult struct {
 	Transmissions, Collided int
 }
 
-// GroupTrial runs one trial of s identical devices with random phases and
-// collects all ordered-pair discovery latencies plus channel statistics.
-func GroupTrial(dev schedule.Device, s int, cfg Config, rng *rand.Rand) (GroupTrialResult, error) {
-	return GroupTrialScratch(dev, s, cfg, rng, NewScratch())
-}
-
-// GroupTrialScratch is GroupTrial against a caller-owned arena. The
-// returned Samples slice is freshly allocated (callers retain it across
-// trials); everything else the kernel touched stays in the arena.
+// GroupTrialScratch runs one trial of s identical devices with random
+// phases and collects all ordered-pair discovery latencies plus channel
+// statistics. The returned Samples slice is freshly allocated (callers
+// retain it across trials); everything else the kernel touched stays in
+// the arena.
 func GroupTrialScratch(dev schedule.Device, s int, cfg Config, rng *rand.Rand, scr *Scratch) (GroupTrialResult, error) {
 	if s < 2 {
 		return GroupTrialResult{}, fmt.Errorf("sim: group size %d must be ≥ 2", s)
@@ -120,34 +109,22 @@ func GroupTrialScratch(dev schedule.Device, s int, cfg Config, rng *rand.Rand, s
 	return out, nil
 }
 
-// ChurnTrial runs one trial of the churn scenario: s identical devices
-// arrive at uniformly random times in the first half of the horizon and
-// stay for stay ticks (0 = until the end). It returns the per-pair contact
-// records of every ordered pair whose joint presence spans at least one
-// listening period, plus the raw run result for channel statistics.
-func ChurnTrial(dev schedule.Device, s int, stay timebase.Ticks, cfg Config, rng *rand.Rand) ([]Contact, Result, error) {
-	contacts, wr, err := ChurnTrialScratch(dev, s, stay, cfg, rng, NewScratch())
-	if err != nil {
-		return nil, Result{}, err
-	}
-	res := Result{
-		First:         make(map[int]map[int]timebase.Ticks, len(wr.First)),
-		Transmissions: wr.Transmissions,
-		Collided:      wr.Collided,
-	}
-	for r, m := range wr.First {
-		rm := make(map[int]timebase.Ticks, len(m))
-		for snd, rec := range m {
-			rm[snd] = rec.End
-		}
-		res.First[r] = rm
-	}
-	return contacts, res, nil
+// Contact is one ordered pair's encounter in a churn trial: the duration
+// both devices were jointly present, and whether (and when, measured from
+// the joint-presence instant) the receiver discovered the sender.
+type Contact struct {
+	Overlap    timebase.Ticks
+	Discovered bool
+	Latency    timebase.Ticks // valid iff Discovered
 }
 
-// ChurnTrialScratch is ChurnTrial against a caller-owned arena. The
-// returned contacts are freshly allocated; the WorldResult aliases the
-// arena and is valid only until its next kernel run.
+// ChurnTrialScratch runs one trial of the churn scenario: s identical
+// devices arrive at uniformly random times in the first half of the
+// horizon and stay for stay ticks (0 = until the end). It returns the
+// per-pair contact records of every ordered pair whose joint presence
+// spans at least one listening period, plus the raw run result for
+// channel statistics. The contacts are freshly allocated; the WorldResult
+// aliases the arena and is valid only until its next kernel run.
 func ChurnTrialScratch(dev schedule.Device, s int, stay timebase.Ticks, cfg Config, rng *rand.Rand, scr *Scratch) ([]Contact, WorldResult, error) {
 	if s < 2 {
 		return nil, WorldResult{}, fmt.Errorf("sim: group size %d must be ≥ 2", s)

@@ -16,11 +16,11 @@ import (
 // kernel merges all transmissions into one start-sorted timeline, resolves
 // ALOHA collisions per channel, and walks every listener's windows to find
 // first receptions. All trial paths — the single-channel pair/group/churn
-// workloads (Run), the multi-channel advertiser/scanner pair
-// (MultiChannelPairTrial), the slot-aligned pairs (SlotGridPair.Trial) and
-// the multi-node multi-channel workloads (MultiChannelGroupTrial,
-// MultiChannelChurnTrial) — are thin configurations of this kernel; the
-// former per-kind event loops are gone.
+// workloads (PairTrialScratch, GroupTrialScratch, ChurnTrialScratch), the
+// multi-channel advertiser/scanner pair (MultiChannelPairTrialScratch), the
+// slot-aligned pairs (SlotGridPair.TrialScratch) and the multi-node
+// multi-channel workloads (MultiChannelGroupTrialScratch,
+// MultiChannelChurnTrialScratch) — are thin configurations of this kernel.
 
 // Emission is one periodic beacon schedule a node transmits on a channel.
 // Phase places the schedule's origin at absolute time Phase.
@@ -185,16 +185,6 @@ func channelCount(nodes []WorldNode) (int, error) {
 	return max + 1, nil
 }
 
-// RunWorld simulates the node set under cfg: it materializes every
-// emission's jittered transmissions, sorts the merged timeline, marks
-// per-channel collisions, and records every listener's first reception per
-// sender. Every run is deterministic given cfg's RNG stream. This serial
-// form allocates a fresh arena per call, so the result never aliases
-// caller-visible state; hot loops hold a Scratch and call RunWorldScratch.
-func RunWorld(nodes []WorldNode, cfg Config) (WorldResult, error) {
-	return RunWorldScratch(nodes, cfg, NewScratch())
-}
-
 // linearMergeMax is the run count up to which the collision merge scan uses
 // a linear min-scan over the run heads instead of a binary heap; beyond it
 // the heap's O(log k) per element wins.
@@ -251,9 +241,12 @@ func siftRun(h []int, i int, txs []transmission, pos []int) {
 	}
 }
 
-// RunWorldScratch is RunWorld against a caller-owned arena: all kernel
-// buffers come from scr and the result aliases it (valid until the next
-// run on the same Scratch). Results are bit-identical to RunWorld.
+// RunWorldScratch simulates the node set under cfg: it materializes every
+// emission's jittered transmissions, marks per-channel collisions, and
+// records every listener's first reception per sender. Every run is
+// deterministic given cfg's RNG stream. All kernel buffers come from scr
+// and the result aliases it (valid until the next run on the same
+// Scratch).
 func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, error) {
 	if cfg.Horizon <= 0 {
 		return WorldResult{}, fmt.Errorf("sim: horizon %d must be positive", cfg.Horizon)

@@ -193,7 +193,7 @@ func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config) WorldResult {
 
 func compareWorlds(t *testing.T, label string, nodes []WorldNode, cfg Config) {
 	t.Helper()
-	got, err := RunWorld(nodes, cfg)
+	got, err := RunWorldScratch(nodes, cfg, NewScratch())
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -325,15 +325,15 @@ func TestRunWorldRejectsBadInput(t *testing.T) {
 	ok := WorldNode{Emits: []Emission{{B: schedule.BeaconSeq{
 		Beacons: []schedule.Beacon{{Time: 0, Len: 1}}, Period: 10,
 	}}}}
-	if _, err := RunWorld([]WorldNode{ok, ok}, Config{Horizon: 0}); err == nil {
+	if _, err := RunWorldScratch([]WorldNode{ok, ok}, Config{Horizon: 0}, NewScratch()); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := RunWorld([]WorldNode{ok}, Config{Horizon: 100}); err == nil {
+	if _, err := RunWorldScratch([]WorldNode{ok}, Config{Horizon: 100}, NewScratch()); err == nil {
 		t.Error("single-node world accepted")
 	}
 	bad := ok
 	bad.Emits = []Emission{{Channel: -1, B: ok.Emits[0].B}}
-	if _, err := RunWorld([]WorldNode{bad, ok}, Config{Horizon: 100}); err == nil {
+	if _, err := RunWorldScratch([]WorldNode{bad, ok}, Config{Horizon: 100}, NewScratch()); err == nil {
 		t.Error("negative channel accepted")
 	}
 }
@@ -345,7 +345,7 @@ func TestMultiChannelGroupTrialAccounting(t *testing.T) {
 	mc := multichannel.Config{Ta: 700, Omega: 40, IFS: 10, Ts: 900, Ds: 300, Channels: 3}
 	rng := rand.New(NewFastSource(11))
 	const s = 5
-	res, err := MultiChannelGroupTrial(mc, s, Config{Horizon: 30000, Collisions: true, HalfDuplex: true}, rng)
+	res, err := MultiChannelGroupTrialScratch(mc, s, Config{Horizon: 30000, Collisions: true, HalfDuplex: true}, rng, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestMultiChannelChurnTrialContacts(t *testing.T) {
 	rng := rand.New(NewFastSource(13))
 	const s = 6
 	horizon := timebase.Ticks(40000)
-	res, err := MultiChannelChurnTrial(mc, s, horizon/3, Config{Horizon: horizon, Collisions: true}, rng)
+	res, err := MultiChannelChurnTrialScratch(mc, s, horizon/3, Config{Horizon: horizon, Collisions: true}, rng, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestMultiChannelGroupTrialDeterministic(t *testing.T) {
 	mc := multichannel.Config{Ta: 700, Omega: 40, IFS: 10, Ts: 900, Ds: 300, Channels: 3}
 	cfg := Config{Horizon: 30000, Collisions: true}
 	run := func(seed int64) MultiChannelGroupResult {
-		res, err := MultiChannelGroupTrial(mc, 4, cfg, rand.New(NewFastSource(seed)))
+		res, err := MultiChannelGroupTrialScratch(mc, 4, cfg, rand.New(NewFastSource(seed)), NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,9 +22,10 @@
 //     bounds with equality; Disco, UConnect, Searchlight, Diffcode and the
 //     PI (BLE-like) family provide the classic protocols for comparison.
 //
-//   - Simulation. Simulate, PairLatencies and GroupDiscovery run a
-//     discrete-event multi-device simulation with an ALOHA collision
-//     channel, half-duplex radios and optional beacon jitter.
+//   - Simulation. RunScenario and RunSuite run declarative Monte-Carlo
+//     scenarios (pairs, crowds, churn, multi-channel and slot-aligned
+//     kinds) on a discrete-event multi-device kernel with an ALOHA
+//     collision channel, half-duplex radios and optional beacon jitter.
 //
 // All time quantities are integer Ticks (1 tick = 1 µs). Closed-form bounds
 // return float64 ticks, since they are generally fractional.
@@ -39,7 +40,6 @@ import (
 	"repro/internal/optimal"
 	"repro/internal/protocols"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 	"repro/internal/slots"
 	"repro/internal/timebase"
 )
@@ -221,36 +221,6 @@ var (
 	BLELowPower = protocols.BLELowPower
 )
 
-// Simulation types.
-type (
-	// SimNode is one simulated device with a phase offset.
-	SimNode = sim.Node
-	// SimConfig selects channel and radio semantics.
-	SimConfig = sim.Config
-	// SimResult is one simulation run's outcome.
-	SimResult = sim.Result
-	// SimStats summarizes Monte-Carlo latency samples.
-	SimStats = sim.Stats
-	// GroupResult aggregates a many-device experiment.
-	GroupResult = sim.GroupResult
-)
-
-// Simulate runs the discrete-event simulation of the node set.
-func Simulate(nodes []SimNode, cfg SimConfig) (SimResult, error) {
-	return sim.Run(nodes, cfg)
-}
-
-// PairLatencies Monte-Carlos one-way discovery latency between a sender
-// and a receiver device with random phases.
-func PairLatencies(e, f Device, trials int, cfg SimConfig) (SimStats, error) {
-	return sim.PairLatencies(e, f, trials, cfg)
-}
-
-// GroupDiscovery Monte-Carlos s identical devices with random phases.
-func GroupDiscovery(dev Device, s, trials int, cfg SimConfig) (GroupResult, error) {
-	return sim.GroupDiscovery(dev, s, trials, cfg)
-}
-
 // OptimalPI expresses the optimal symmetric construction as BLE-like PI
 // parameters (Ta, Ts, Ds): configure any periodic-interval stack with
 // these values and it performs at the Theorem 5.5 bound.
@@ -266,22 +236,6 @@ type AssistResult = optimal.AssistResult
 // next reception window (the Griassdi mechanism the paper builds on).
 func EvaluateAssistance(q Quadruple) AssistResult {
 	return optimal.EvaluateAssistance(q)
-}
-
-// ChurnDiscovery simulates devices arriving and departing (bounded contact
-// windows) and measures discovery latency from the moment a pair is
-// jointly present.
-func ChurnDiscovery(dev Device, s, trials int, stay Ticks, cfg SimConfig) (SimStats, error) {
-	return sim.ChurnDiscovery(dev, s, trials, stay, cfg)
-}
-
-// Contact is one pair encounter record from a churn simulation.
-type Contact = sim.Contact
-
-// ChurnContacts returns the raw per-pair contact records of the churn
-// scenario, for binning discovery ratios by contact duration.
-func ChurnContacts(dev Device, s, trials int, stay Ticks, cfg SimConfig) ([]Contact, error) {
-	return sim.ChurnContacts(dev, s, trials, stay, cfg)
 }
 
 // Stream interfaces for aperiodic schedules (Appendix A.1).

@@ -99,21 +99,23 @@ func TestBLEPresetsThroughPublicAPI(t *testing.T) {
 }
 
 func TestSimulationThroughPublicAPI(t *testing.T) {
-	u, err := nd.Unidirectional(36, 1000, 4, 1)
+	res, err := nd.RunScenario(nd.Scenario{
+		Name:       "public-pair",
+		Protocol:   nd.ProtocolSpec{Kind: "optimal", Omega: 36, Eta: 0.05},
+		Population: 2,
+		Trials:     50,
+		Horizon:    nd.HorizonSpec{WorstMultiple: 4},
+		Seed:       1,
+	}, nd.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nd.PairLatencies(
-		nd.Device{B: u.Sender}, nd.Device{C: u.Listener},
-		50, nd.SimConfig{Horizon: 4 * u.WorstCase, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	stats := res.Latency
+	if stats.N != 50 || stats.Misses != 0 {
+		t.Errorf("N = %d, misses = %d", stats.N, stats.Misses)
 	}
-	if stats.Misses != 0 {
-		t.Errorf("misses = %d", stats.Misses)
-	}
-	if stats.Max > u.WorstCase+36 {
-		t.Errorf("max %v exceeds worst case %v", stats.Max, u.WorstCase)
+	if stats.Max > res.ExactWorst+36 {
+		t.Errorf("max %v exceeds worst case %v", stats.Max, res.ExactWorst)
 	}
 }
 
