@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzJournalManifest -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 15s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzRunWorldMatchesBruteForce -fuzztime 15s ./internal/sim
 
 # Full-tree race detector run — the CI "race (full tree)" gate.
 race:

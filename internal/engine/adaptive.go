@@ -297,12 +297,7 @@ func runAdaptive(ap AdaptiveSpec, eval adaptiveEvaluator) (AdaptiveResult, error
 	}
 
 	// Round 0: the coarse grid, in sweep (row-major) order.
-	coarse := make([][]float64, 0, sp.coarseSpec().Points())
-	cs := sp.coarseSpec()
-	for i := 0; i < cs.Points(); i++ {
-		coarse = append(coarse, cs.pointValues(i))
-	}
-	round, err := s.evaluateRound(0, coarse)
+	round, err := s.evaluateRound(0, sp.coarseSpec().grid())
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
@@ -350,7 +345,7 @@ func (s *adaptiveSearch) evaluateRound(round int, grid [][]float64) (AdaptiveRou
 			continue
 		}
 		s.seen[key] = true
-		sc, err := s.pointScenario(round, vals)
+		sc, err := s.spec.coarseSpec().point("adaptive", fmt.Sprintf("%s/r%d", s.spec.Name, round), vals)
 		if err != nil {
 			return AdaptiveRound{}, err
 		}
@@ -387,29 +382,6 @@ func (s *adaptiveSearch) evaluateRound(round int, grid [][]float64) (AdaptiveRou
 	out.Best.Aggregate = nil
 	out.Brackets = s.brackets(best.Values)
 	return out, nil
-}
-
-// pointScenario materializes one coordinate vector as a validated, named
-// scenario, exactly as SweepSpec.Expand does for its grid.
-func (s *adaptiveSearch) pointScenario(round int, vals []float64) (Scenario, error) {
-	sc := s.spec.Base
-	if s.spec.Base.Churn != nil {
-		ch := *s.spec.Base.Churn // deep-copy so points never share churn state
-		sc.Churn = &ch
-	}
-	parts := make([]string, len(s.spec.Axes))
-	for a, ax := range s.spec.Axes {
-		sweepFields[ax.Field].set(&sc, vals[a])
-		parts[a] = axisLabel(ax.Field) + "=" + formatAxisValue(vals[a])
-	}
-	sc.Name = fmt.Sprintf("%s/r%d/%s", s.spec.Name, round, strings.Join(parts, ","))
-	if s.spec.Description != "" {
-		sc.Description = s.spec.Description
-	}
-	if err := sc.Validate(); err != nil {
-		return Scenario{}, fmt.Errorf("engine: adaptive %q point %q: %w", s.spec.Name, sc.Name, err)
-	}
-	return sc, nil
 }
 
 // best ranks all evaluated points: strictly better objective wins, ties
@@ -539,27 +511,6 @@ func (s *adaptiveSearch) axisValues(a int, br AxisBracket, n int) []float64 {
 		vals = append(vals, v)
 	}
 	return vals
-}
-
-// cartesian expands per-axis value lists row-major (first axis slowest),
-// matching sweep grid order.
-func cartesian(axes [][]float64) [][]float64 {
-	total := 1
-	for _, vs := range axes {
-		total *= len(vs)
-	}
-	out := make([][]float64, 0, total)
-	for i := 0; i < total; i++ {
-		vals := make([]float64, len(axes))
-		rem := i
-		for a := len(axes) - 1; a >= 0; a-- {
-			n := len(axes[a])
-			vals[a] = axes[a][rem%n]
-			rem /= n
-		}
-		out = append(out, vals)
-	}
-	return out
 }
 
 func allConverged(brackets []AxisBracket) bool {

@@ -109,23 +109,14 @@ func RunJournaled(label string, scenarios []Scenario, opt Options, dir string) (
 		return nil, errors.New("engine: journaled run needs at least one scenario")
 	}
 	// Fold the trial and exact overrides up front, exactly as prepare
-	// would: the journal is keyed by effective scenarios, and snapshots
+	// does: the journal is keyed by effective scenarios, and snapshots
 	// embed them.
 	eff := make([]Scenario, len(scenarios))
 	for i, sc := range scenarios {
-		if opt.Trials > 0 {
-			sc.Trials = opt.Trials
-		}
-		if opt.Exact {
-			sc.Exact = true
-		}
-		if sc.Exact {
-			sc.Trials = 0
-		}
-		if err := sc.Validate(); err != nil {
+		var err error
+		if eff[i], err = EffectiveScenario(sc, opt); err != nil {
 			return nil, err
 		}
-		eff[i] = sc
 	}
 	o := opt
 	o.Trials = 0

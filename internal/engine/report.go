@@ -137,9 +137,10 @@ func RenderSweepTable(sp SweepSpec, aggs []Aggregate) string {
 		cols = append(cols, "ms")
 	}
 	t := textplot.NewTable(cols...)
+	grid := sp.grid()
 	for i, a := range aggs {
 		row := make([]string, 0, len(cols))
-		for _, v := range sp.pointValues(i) {
+		for _, v := range grid[i] {
 			row = append(row, formatAxisValue(v))
 		}
 		worst := "—"

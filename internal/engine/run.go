@@ -286,8 +286,12 @@ func exactEligible(sc Scenario, b *built) error {
 	return nil
 }
 
-// prepare validates and materializes one scenario into a schedulable point.
-func prepare(sc Scenario, opt Options) (*point, error) {
+// EffectiveScenario folds the run options into sc and validates the
+// result: opt.Trials, when > 0, overrides the trial count, opt.Exact sets
+// sc.Exact, and an exact scenario runs zero trials. The returned scenario
+// is the one a run executes, journals and reports; the daemon validates
+// submitted jobs with it.
+func EffectiveScenario(sc Scenario, opt Options) (Scenario, error) {
 	if opt.Trials > 0 {
 		sc.Trials = opt.Trials
 	}
@@ -295,11 +299,21 @@ func prepare(sc Scenario, opt Options) (*point, error) {
 		sc.Exact = true
 	}
 	if sc.Exact {
-		// The effective spec records the truth: zero trials run. The empty
-		// trial range below makes the feeder finalize the point directly.
 		sc.Trials = 0
 	}
 	if err := sc.Validate(); err != nil {
+		return Scenario{}, err
+	}
+	return sc, nil
+}
+
+// prepare validates and materializes one scenario into a schedulable point.
+func prepare(sc Scenario, opt Options) (*point, error) {
+	// The effective spec records the truth: an exact point runs zero
+	// trials, and the empty trial range below makes the feeder finalize it
+	// directly.
+	sc, err := EffectiveScenario(sc, opt)
+	if err != nil {
 		return nil, err
 	}
 	b, err := build(sc.Protocol, sc.Population)

@@ -194,6 +194,45 @@ func TestTrialsOverride(t *testing.T) {
 	}
 }
 
+// TestEffectiveScenario pins the one fold of run options into a scenario
+// that runs, journals and the daemon share: Trials overrides, Exact (the
+// option's or the scenario's) forces zero trials, and the result is
+// validated with the scenario's own error.
+func TestEffectiveScenario(t *testing.T) {
+	sc, err := Preset("quickstart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		exactSpec  bool
+		opt        Options
+		wantTrials int
+		wantExact  bool
+	}{
+		{"spec as is", false, Options{}, sc.Trials, false},
+		{"trials override", false, Options{Trials: 9}, 9, false},
+		{"exact option", false, Options{Trials: 9, Exact: true}, 0, true},
+		{"exact scenario", true, Options{Trials: 9}, 0, true},
+	} {
+		in := sc
+		in.Exact = c.exactSpec
+		got, err := EffectiveScenario(in, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got.Trials != c.wantTrials || got.Exact != c.wantExact {
+			t.Errorf("%s: trials %d exact %v, want %d %v", c.name, got.Trials, got.Exact, c.wantTrials, c.wantExact)
+		}
+	}
+	bad := sc
+	bad.Population = 1
+	_, err = EffectiveScenario(bad, Options{})
+	if want := bad.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("invalid scenario: got error %v, want %v", err, want)
+	}
+}
+
 func TestGroupNeedsSymmetricProtocol(t *testing.T) {
 	sc := groupScenario()
 	sc.Protocol = ProtocolSpec{Kind: "asymmetric", Omega: 36, Alpha: 1, EtaE: 0.01, EtaF: 0.1}

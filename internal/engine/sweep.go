@@ -145,16 +145,36 @@ func (sp SweepSpec) Points() int {
 	return n
 }
 
-// pointValues returns the axis values of grid point i in row-major order
-// (first axis slowest, last axis fastest).
-func (sp SweepSpec) pointValues(i int) []float64 {
-	vals := make([]float64, len(sp.Axes))
-	for a := len(sp.Axes) - 1; a >= 0; a-- {
-		n := len(sp.Axes[a].Values)
-		vals[a] = sp.Axes[a].Values[i%n]
-		i /= n
+// grid enumerates the sweep's points: one coordinate vector per point, in
+// row-major axis order.
+func (sp SweepSpec) grid() [][]float64 {
+	axes := make([][]float64, len(sp.Axes))
+	for a, ax := range sp.Axes {
+		axes[a] = ax.Values
 	}
-	return vals
+	return cartesian(axes)
+}
+
+// cartesian expands per-axis value lists row-major (first axis slowest,
+// last fastest): the one enumeration order of sweep grids and adaptive
+// rounds.
+func cartesian(axes [][]float64) [][]float64 {
+	total := 1
+	for _, vs := range axes {
+		total *= len(vs)
+	}
+	out := make([][]float64, 0, total)
+	for i := 0; i < total; i++ {
+		vals := make([]float64, len(axes))
+		rem := i
+		for a := len(axes) - 1; a >= 0; a-- {
+			n := len(axes[a])
+			vals[a] = axes[a][rem%n]
+			rem /= n
+		}
+		out = append(out, vals)
+	}
+	return out
 }
 
 // axisLabel is the short display name of an axis: the last path segment.
@@ -169,14 +189,30 @@ func formatAxisValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// pointName is the canonical name of a grid point:
-// "<sweep>/<axis>=<value>,<axis>=<value>".
-func (sp SweepSpec) pointName(vals []float64) string {
+// point materializes the grid point at coordinates vals as a validated
+// scenario: the base with every axis field set (its churn spec deep-copied,
+// so points never share state), the sweep's description, and the canonical
+// name "<prefix>/<axis>=<value>,<axis>=<value>". kind ("sweep" or
+// "adaptive") names the search in a validation error.
+func (sp SweepSpec) point(kind, prefix string, vals []float64) (Scenario, error) {
+	sc := sp.Base
+	if sp.Base.Churn != nil {
+		ch := *sp.Base.Churn
+		sc.Churn = &ch
+	}
 	parts := make([]string, len(sp.Axes))
 	for a, ax := range sp.Axes {
+		sweepFields[ax.Field].set(&sc, vals[a])
 		parts[a] = axisLabel(ax.Field) + "=" + formatAxisValue(vals[a])
 	}
-	return sp.Name + "/" + strings.Join(parts, ",")
+	sc.Name = prefix + "/" + strings.Join(parts, ",")
+	if sp.Description != "" {
+		sc.Description = sp.Description
+	}
+	if err := sc.Validate(); err != nil {
+		return Scenario{}, fmt.Errorf("engine: %s %q point %q: %w", kind, sp.Name, sc.Name, err)
+	}
+	return sc, nil
 }
 
 // Expand materializes the scenario matrix: one validated scenario per grid
@@ -185,23 +221,12 @@ func (sp SweepSpec) Expand() ([]Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	out := make([]Scenario, 0, sp.Points())
-	for i := 0; i < sp.Points(); i++ {
-		vals := sp.pointValues(i)
-		sc := sp.Base
-		if sp.Base.Churn != nil {
-			ch := *sp.Base.Churn // deep-copy so points never share churn state
-			sc.Churn = &ch
-		}
-		for a, ax := range sp.Axes {
-			sweepFields[ax.Field].set(&sc, vals[a])
-		}
-		sc.Name = sp.pointName(vals)
-		if sp.Description != "" {
-			sc.Description = sp.Description
-		}
-		if err := sc.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: sweep %q point %q: %w", sp.Name, sc.Name, err)
+	grid := sp.grid()
+	out := make([]Scenario, 0, len(grid))
+	for _, vals := range grid {
+		sc, err := sp.point("sweep", sp.Name, vals)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, sc)
 	}

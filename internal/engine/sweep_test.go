@@ -153,8 +153,12 @@ func TestSweepPresetsExpandAndRun(t *testing.T) {
 	if len(aggs) != sp.Points() {
 		t.Fatalf("%d aggregates from a %d-point sweep", len(aggs), sp.Points())
 	}
+	points, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, a := range aggs {
-		want := sp.pointName(sp.pointValues(i))
+		want := points[i].Name
 		if a.Scenario.Name != want {
 			t.Errorf("aggregate %d is %q, want %q", i, a.Scenario.Name, want)
 		}

@@ -1,9 +1,12 @@
 package interval
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -194,6 +197,34 @@ func TestSweepMatchesReference(t *testing.T) {
 		})
 		if i != len(wantMin) {
 			t.Fatalf("period %d items %v: %d segments, reference %d", period, items, i, len(wantMin))
+		}
+	}
+}
+
+// TestRadixSortMatchesStableSort: RadixSort orders records exactly as a
+// stable comparison sort by key does, for keys spanning one to eight
+// bytes, with many equal keys, on reused buffers.
+func TestRadixSortMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var ev, buf []Keyed
+	for trial := 0; trial < 2000; trial++ {
+		maxKey := rng.Uint64() >> rng.Intn(64)
+		ev = ev[:0]
+		for i := rng.Intn(300); i > 0; i-- {
+			key := rng.Uint64()
+			if maxKey < math.MaxUint64 {
+				key %= maxKey + 1
+			}
+			if rng.Intn(4) == 0 && len(ev) > 0 {
+				key = ev[rng.Intn(len(ev))].Key
+			}
+			ev = append(ev, Keyed{Key: key, Val: int64(len(ev))})
+		}
+		want := slices.Clone(ev)
+		slices.SortStableFunc(want, func(a, b Keyed) int { return cmp.Compare(a.Key, b.Key) })
+		ev, buf = RadixSort(ev, buf, maxKey)
+		if !slices.Equal(ev, want) {
+			t.Fatalf("trial %d (max key %#x): radix order %v, stable sort %v", trial, maxKey, ev, want)
 		}
 	}
 }

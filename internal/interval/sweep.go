@@ -32,20 +32,15 @@ type Segment struct {
 // allocates only while they grow. The zero value is ready to use; a
 // Sweeper must not be shared between goroutines.
 type Sweeper struct {
-	ev, buf []event
+	ev, buf []Keyed
 	active  []int64
 }
 
-// event is one endpoint of a labeled interval. key is twice the position,
-// plus one for an opening endpoint, so sorting by key puts closes before
-// opens at a shared position.
-type event struct {
-	key   uint64
-	label int64
-}
-
-func openAt(at timebase.Ticks, label int64) event  { return event{uint64(at)<<1 | 1, label} }
-func closeAt(at timebase.Ticks, label int64) event { return event{uint64(at) << 1, label} }
+// An endpoint of a labeled interval is a Keyed record carrying the label.
+// Its key is twice the position, plus one for an opening endpoint, so
+// sorting by key puts closes before opens at a shared position.
+func openAt(at timebase.Ticks, label int64) Keyed  { return Keyed{uint64(at)<<1 | 1, label} }
+func closeAt(at timebase.Ticks, label int64) Keyed { return Keyed{uint64(at) << 1, label} }
 
 // Sweep partitions [0, period) into elementary segments, cut at every
 // distinct endpoint of the items, and calls visit once per segment in
@@ -81,19 +76,19 @@ func (s *Sweeper) Sweep(period timebase.Ticks, items []Labeled, visit func(iv In
 		}
 		ev = append(ev, openAt(lo, it.Label), closeAt(hi, it.Label))
 	}
-	ev, s.buf = radixSort(ev, s.buf, uint64(period)<<1|1)
+	ev, s.buf = RadixSort(ev, s.buf, uint64(period)<<1|1)
 
 	var prev timebase.Ticks
 	for i := 0; i < len(ev); {
-		at := timebase.Ticks(ev[i].key >> 1)
+		at := timebase.Ticks(ev[i].Key >> 1)
 		if at > prev {
 			visit(Interval{prev, at}, active)
 			prev = at
 		}
-		for ; i < len(ev) && timebase.Ticks(ev[i].key>>1) == at; i++ {
-			k, _ := slices.BinarySearch(active, ev[i].label)
-			if ev[i].key&1 == 1 {
-				active = slices.Insert(active, k, ev[i].label)
+		for ; i < len(ev) && timebase.Ticks(ev[i].Key>>1) == at; i++ {
+			k, _ := slices.BinarySearch(active, ev[i].Val)
+			if ev[i].Key&1 == 1 {
+				active = slices.Insert(active, k, ev[i].Val)
 			} else {
 				active = slices.Delete(active, k, k+1)
 			}
@@ -105,11 +100,19 @@ func (s *Sweeper) Sweep(period timebase.Ticks, items []Labeled, visit func(iv In
 	s.ev, s.active = ev, active
 }
 
-// radixSort sorts ev by key with a stable LSD radix sort, one byte per
-// pass up to the highest byte of maxKey, skipping bytes every key shares.
-// buf is scratch space; the sorted events and the spare buffer come back
-// for reuse.
-func radixSort(ev, buf []event, maxKey uint64) (sorted, spare []event) {
+// Keyed is one record of RadixSort: an unsigned sort key and the value it
+// carries.
+type Keyed struct {
+	Key uint64
+	Val int64
+}
+
+// RadixSort sorts ev by Key with a stable LSD radix sort, one byte per
+// pass up to the highest byte of maxKey (no key may exceed it), skipping
+// bytes every key shares. buf is scratch space; the sorted records and the
+// spare buffer come back for reuse. Besides the sweep, the simulation
+// kernel orders its packets with it.
+func RadixSort(ev, buf []Keyed, maxKey uint64) (sorted, spare []Keyed) {
 	if len(ev) < 2 {
 		return ev, buf
 	}
@@ -117,9 +120,9 @@ func radixSort(ev, buf []event, maxKey uint64) (sorted, spare []event) {
 	for shift := uint(0); shift < 64 && maxKey>>shift != 0; shift += 8 {
 		var count [256]int
 		for _, e := range ev {
-			count[byte(e.key>>shift)]++
+			count[byte(e.Key>>shift)]++
 		}
-		if count[byte(ev[0].key>>shift)] == len(ev) {
+		if count[byte(ev[0].Key>>shift)] == len(ev) {
 			continue
 		}
 		pos := 0
@@ -128,7 +131,7 @@ func radixSort(ev, buf []event, maxKey uint64) (sorted, spare []event) {
 			pos += c
 		}
 		for _, e := range ev {
-			d := byte(e.key >> shift)
+			d := byte(e.Key >> shift)
 			buf[count[d]] = e
 			count[d]++
 		}

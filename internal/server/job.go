@@ -248,16 +248,7 @@ func resolveRequest(req JobRequest) (jobSpec, error) {
 	// executor folds them, so a bad spec is a 400 at submit, not a failed
 	// job later.
 	for _, sc := range spec.scenarios {
-		if spec.trials > 0 {
-			sc.Trials = spec.trials
-		}
-		if spec.exact {
-			sc.Exact = true
-		}
-		if sc.Exact {
-			sc.Trials = 0
-		}
-		if err := sc.Validate(); err != nil {
+		if _, err := engine.EffectiveScenario(sc, engine.Options{Trials: spec.trials, Exact: spec.exact}); err != nil {
 			return jobSpec{}, err
 		}
 	}

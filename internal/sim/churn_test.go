@@ -19,7 +19,7 @@ func TestNodePresenceGatesTransmissions(t *testing.T) {
 		{Device: schedule.Device{B: b}, Arrive: 100, Depart: 200},
 		{Device: schedule.Device{C: c}},
 	}
-	res, err := runNodes(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestNodePresenceGatesReception(t *testing.T) {
 		{Device: schedule.Device{B: b}},
 		{Device: schedule.Device{C: c}, Arrive: 100},
 	}
-	res, err := runNodes(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDepartedReceiverHearsNothing(t *testing.T) {
 		{Device: schedule.Device{B: b}},
 		{Device: schedule.Device{C: c}, Depart: 400},
 	}
-	res, err := runNodes(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestDepartedReceiverHearsNothing(t *testing.T) {
 }
 
 // churnStats runs the given number of churn trials of s devices on one
-// arena, drawing from one rng seeded with cfg.Seed, and summarizes the
-// judged contacts.
-func churnStats(t *testing.T, dev schedule.Device, s, trials int, stay timebase.Ticks, cfg Config) Stats {
+// arena, drawing from one rng seeded with seed, and summarizes the judged
+// contacts.
+func churnStats(t *testing.T, dev schedule.Device, s, trials int, stay timebase.Ticks, cfg Config, seed int64) Stats {
 	t.Helper()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	scr := NewScratch()
 	var samples []timebase.Ticks
 	misses := 0
@@ -101,10 +101,7 @@ func TestChurnDiscoveryLongContacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	worst := pair.WorstCase()
-	stats := churnStats(t, pair.E, 4, 20, 0, Config{
-		Horizon: 8 * worst,
-		Seed:    5,
-	})
+	stats := churnStats(t, pair.E, 4, 20, 0, Config{Horizon: 8 * worst}, 5)
 	if stats.N == 0 {
 		t.Fatal("no pairs judged")
 	}
@@ -129,10 +126,7 @@ func TestChurnDiscoveryShortContacts(t *testing.T) {
 		period = pair.E.C.Period
 	}
 	stay := period + worst/4 // long enough to be judged, short vs worst case
-	stats := churnStats(t, pair.E, 6, 30, stay, Config{
-		Horizon: 8 * worst,
-		Seed:    6,
-	})
+	stats := churnStats(t, pair.E, 6, 30, stay, Config{Horizon: 8 * worst}, 6)
 	if stats.N == 0 {
 		t.Skip("no pairs overlapped long enough; adjust parameters")
 	}

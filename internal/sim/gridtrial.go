@@ -115,7 +115,7 @@ func (p *SlotGridPair) TrialScratch(horizon timebase.Ticks, rng *rand.Rand, scr 
 	// escalation bounds a missing trial at ~2× one capped run.
 	start := maxTicks(timebase.Ticks(p.pa), timebase.Ticks(p.pb)) * p.slotLen
 	for h := minTicks(start, limit); ; h = minTicks(2*h, limit) {
-		wr, err := RunWorldScratch(nodes, Config{Horizon: h}, scr)
+		wr, err := RunWorldScratch(nodes, Config{Horizon: h}, nil, scr)
 		if err != nil {
 			return 0, false, err
 		}

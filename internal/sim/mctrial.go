@@ -118,7 +118,7 @@ func MultiChannelPairTrialScratch(cfg multichannel.Config, horizon timebase.Tick
 		}
 		nodes[0] = WorldNode{Emits: em, Depart: h + cfg.Omega}
 		nodes[1] = WorldNode{Listens: ls, Depart: h + cfg.Omega}
-		wr, err := RunWorldScratch(nodes, Config{Horizon: h}, scr)
+		wr, err := RunWorldScratch(nodes, Config{Horizon: h}, nil, scr)
 		if err != nil {
 			return MultiChannelOutcome{}, err
 		}
@@ -194,9 +194,7 @@ func runMultiChannelWorld(mc multichannel.Config, s int, churn bool, stay timeba
 			Depart:  depart,
 		}
 	}
-	runCfg := cfg
-	runCfg.Source = scr.childSource(rng.Int63())
-	wr, err := RunWorldScratch(nodes, runCfg, scr)
+	wr, err := RunWorldScratch(nodes, cfg, scr.jitterRand(rng.Int63()), scr)
 	if err != nil {
 		return nil, WorldResult{}, err
 	}

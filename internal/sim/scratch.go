@@ -3,40 +3,36 @@ package sim
 import (
 	"math/rand"
 
+	"repro/internal/interval"
 	"repro/internal/multichannel"
 	"repro/internal/schedule"
 	"repro/internal/timebase"
 )
 
-// Scratch is a per-worker arena for the simulation kernel: every slice,
-// map and RNG the hot path needs lives here and is reused across trials,
-// so a steady-state trial allocates nothing beyond the samples it hands
-// back. A Scratch is NOT safe for concurrent use — the engine owns one per
-// worker goroutine, and a serial caller holds one across its loop. Reuse
-// never changes a result: a trial on a reused arena is bit-identical to
-// the same trial on a fresh one.
+// Scratch is a per-worker arena for the simulation kernel: every slice and
+// RNG the hot path needs lives here and is reused across trials, so a
+// steady-state trial allocates nothing beyond the samples it hands back. A
+// Scratch is NOT safe for concurrent use — the engine owns one per worker
+// goroutine, and a serial caller holds one across its loop. Reuse never
+// changes a result: a trial on a reused arena is bit-identical to the same
+// trial on a fresh one.
 //
 // Ownership rule: a WorldResult produced through a Scratch aliases the
-// arena (First maps, PerChannel loads). It is valid only until the next
-// kernel run on the same Scratch; callers that keep data across trials
-// must copy it out first (see poolMultiChannel's PerChannel copy).
+// arena (its first-reception table and PerChannel loads). It is valid only
+// until the next kernel run on the same Scratch; callers that keep data
+// across trials must copy it out first (see poolMultiChannel's PerChannel
+// copy).
 type Scratch struct {
 	// Kernel buffers (RunWorldScratch).
-	txs       []transmission
-	runs      []txRun          // per-emission sorted segments of txs
-	nodeRuns  []int            // node i's runs are runs[nodeRuns[i]:nodeRuns[i+1]]
-	runPos    []int            // collision merge-scan cursor per run
-	heap      []int            // k-way merge-scan heap of run ordinals
-	headStart []timebase.Ticks // cached head starts for the linear merge scan
-	emMax     []timebase.Ticks // per-emission airtime maxima (half-duplex)
-	emBase    []int            // per-node first emission ordinal
-	perLoad   []ChannelLoad
-
-	// First-reception maps: the outer map is cleared per run, inner maps
-	// are pooled and recycled in allocation order.
-	first     map[int]map[int]Reception
-	inner     []map[int]Reception
-	innerUsed int
+	txs          []transmission
+	runs         []txRun          // per-emission sorted segments of txs
+	nodeRuns     []int            // node i's runs are runs[nodeRuns[i]:nodeRuns[i+1]]
+	keys, keyBuf []interval.Keyed // collision pass: packets in start order, sort spare
+	furthest     []furthest       // collision pass: per-channel running furthest end
+	emMax        []timebase.Ticks // per-emission airtime maxima (half-duplex)
+	emBase       []int            // per-node first emission ordinal
+	perLoad      []ChannelLoad
+	receptions   []firstCell // nodes × nodes first receptions, row-major by receiver
 
 	// Node-building buffers (trial primitives).
 	nodes     []Node
@@ -52,7 +48,7 @@ type Scratch struct {
 	mcWindows []schedule.WindowSeq
 
 	// Reseedable RNGs: trialRand is the engine's per-trial stream (Rand),
-	// childSrc/childRand the kernel stream the trial primitives derive from
+	// childSrc/childRand the jitter stream the trial primitives derive from
 	// it. Reseeding a splitmix in place yields the exact stream a fresh
 	// rand.New(NewFastSource(seed)) would, so reuse is bit-identical.
 	trialSrc  splitmix
@@ -79,20 +75,12 @@ func (s *Scratch) Rand(seed int64) *rand.Rand {
 	return s.trialRand
 }
 
-// childSource reseeds the kernel-stream source and returns it, for use as
-// Config.Source of a kernel run within the same Scratch.
-func (s *Scratch) childSource(seed int64) rand.Source {
+// jitterRand reseeds the arena's jitter RNG in place and returns it, for a
+// kernel run within the same Scratch; like Rand, its stream is
+// bit-identical to rand.New(NewFastSource(seed)).
+func (s *Scratch) jitterRand(seed int64) *rand.Rand {
 	s.childSrc.Seed(seed)
-	return &s.childSrc
-}
-
-// kernelRNG returns the RNG for a kernel run: the cached wrapper when cfg
-// carries the arena's own child source, else a fresh materialization.
-func (s *Scratch) kernelRNG(cfg Config) *rand.Rand {
-	if cfg.Source == &s.childSrc {
-		return s.childRand
-	}
-	return cfg.rng()
+	return s.childRand
 }
 
 // grow returns s resized to length n, reallocating only when the capacity
@@ -102,31 +90,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// firstMaps returns the arena's outer first-reception map, emptied.
-func (s *Scratch) firstMaps() map[int]map[int]Reception {
-	if s.first == nil {
-		s.first = make(map[int]map[int]Reception)
-	} else {
-		clear(s.first)
-	}
-	s.innerUsed = 0
-	return s.first
-}
-
-// innerMap returns an empty per-receiver reception map from the pool.
-func (s *Scratch) innerMap() map[int]Reception {
-	if s.innerUsed < len(s.inner) {
-		m := s.inner[s.innerUsed]
-		s.innerUsed++
-		clear(m)
-		return m
-	}
-	m := make(map[int]Reception)
-	s.inner = append(s.inner, m)
-	s.innerUsed++
-	return m
 }
 
 // mcTemplates returns the per-channel beacon and window sequences for a

@@ -18,13 +18,14 @@ import (
 // streams: once with a fresh arena per trial (the reference), once on a
 // single shared arena that is deliberately dirtied between trials by
 // running a structurally different workload on it. Any buffer the kernel
-// forgets to reset (a stale first-reception map entry, an un-truncated
-// run list, a leftover channel-load counter) shows up as a mismatch.
+// forgets to reset (a stale first-reception cell, an un-truncated run
+// list, a leftover channel-load counter) shows up as a mismatch.
 
 // dirtyScratch pollutes every arena surface a later trial could read:
 // a many-node collision-channel group trial (grows and fills txs, runs,
-// first maps, per-channel loads) followed by a multi-channel pair trial
-// (fills the memoized template cache and channel-indexed buffers).
+// sort keys, the first-reception table, per-channel loads) followed by a
+// multi-channel pair trial (fills the memoized template cache and
+// channel-indexed buffers).
 func dirtyScratch(t *testing.T, scr *Scratch) {
 	t.Helper()
 	u, err := optimal.NewUnidirectional(2, 25, 8, 1)

@@ -12,13 +12,15 @@
 // Appendix B experiments and the engine's multi-channel crowd workloads.
 //
 // All trial paths are configurations of one event-driven kernel over a
-// world of nodes × radios × channels (RunWorldScratch, world.go). Each
-// trial kind has one entry point (PairTrialScratch, GroupTrialScratch,
-// ChurnTrialScratch, the MultiChannel…TrialScratch trials and
-// SlotGridPair.TrialScratch); each takes an injected rand source, so the
-// engine can derive one stream per trial — the root of its
-// bit-identical-across-workers contract — and a caller-owned Scratch
-// arena. Time is integer ticks. Every run is deterministic given its seed.
+// world of nodes × radios × channels (RunWorldScratch, world.go), which
+// takes its jitter stream as an argument. Each trial kind has one entry
+// point (PairTrialScratch, GroupTrialScratch, ChurnTrialScratch, the
+// MultiChannel…TrialScratch trials and SlotGridPair.TrialScratch); each
+// takes the caller's per-trial rng, so the engine can derive one stream
+// per trial — the root of its bit-identical-across-workers contract — and
+// a caller-owned Scratch arena. A trial draws its phases and arrivals from
+// that rng, then one seed for the kernel's jitter stream. Time is integer
+// ticks. Every run is deterministic given its seed.
 package sim
 
 import (
@@ -64,35 +66,20 @@ type Config struct {
 
 	// Jitter delays each beacon independently by a uniform amount in
 	// [0, Jitter], decorrelating periodic collision patterns (the BLE
-	// advDelay mechanism). Zero disables jitter.
+	// advDelay mechanism). Zero disables jitter. The delays come from the
+	// rng passed to RunWorldScratch; the trial primitives pass a child
+	// stream drawn from the caller's per-trial rng, so callers can shard
+	// Monte-Carlo trials across goroutines with independent, deterministic
+	// streams.
 	Jitter timebase.Ticks
-
-	// Seed feeds the deterministic RNG used for jitter.
-	Seed int64
-
-	// Source, when non-nil, supplies the RNG stream and takes precedence
-	// over Seed. The trial primitives set it to a child stream drawn from
-	// the caller's per-trial rng, which lets callers shard Monte-Carlo
-	// trials across goroutines with independent, deterministic streams.
-	Source rand.Source
 }
 
-// rng materializes the configured RNG stream: the injected Source if set,
-// otherwise a fresh stream seeded with Seed.
-func (c Config) rng() *rand.Rand {
-	if c.Source != nil {
-		return rand.New(c.Source)
-	}
-	return rand.New(rand.NewSource(c.Seed))
-}
-
-// transmission is one on-air packet.
-// transmission is one packet on air. The narrow sender/channel fields keep
-// the struct at 32 bytes — the kernel streams millions of these per second,
-// so its footprint is memory-bandwidth-sensitive.
+// transmission is one packet on air. Its sender is implicit in the run it
+// belongs to, and the narrow channel field keeps the struct at 24 bytes —
+// the kernel streams millions of these per second, so its footprint is
+// memory-bandwidth-sensitive.
 type transmission struct {
 	start, end timebase.Ticks
-	sender     int32
 	channel    int32
 	collided   bool
 }

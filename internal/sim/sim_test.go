@@ -15,10 +15,11 @@ import (
 func senderOnly(b schedule.BeaconSeq) schedule.Device { return schedule.Device{B: b} }
 func listenOnly(c schedule.WindowSeq) schedule.Device { return schedule.Device{C: c} }
 
-// runNodes runs single-channel nodes through the kernel on a fresh arena.
-func runNodes(nodes []Node, cfg Config) (WorldResult, error) {
+// runNodes runs single-channel nodes through the kernel on a fresh arena,
+// with jitter drawn from rng (nil without jitter).
+func runNodes(nodes []Node, cfg Config, rng *rand.Rand) (WorldResult, error) {
 	scr := NewScratch()
-	return RunWorldScratch(worldFromNodes(nodes, scr), cfg, scr)
+	return RunWorldScratch(worldFromNodes(nodes, scr), cfg, rng, scr)
 }
 
 // firstEnd returns when receiver first heard sender: the completion time
@@ -31,10 +32,10 @@ func firstEnd(res WorldResult, receiver, sender int) (timebase.Ticks, bool) {
 func TestRunRejectsBadInput(t *testing.T) {
 	u, _ := optimal.NewUnidirectional(2, 10, 4, 1)
 	nodes := []Node{{Device: senderOnly(u.Sender)}, {Device: listenOnly(u.Listener)}}
-	if _, err := runNodes(nodes, Config{Horizon: 0}); err == nil {
+	if _, err := runNodes(nodes, Config{Horizon: 0}, nil); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := runNodes(nodes[:1], Config{Horizon: 100}); err == nil {
+	if _, err := runNodes(nodes[:1], Config{Horizon: 100}, nil); err == nil {
 		t.Error("single node accepted")
 	}
 }
@@ -49,7 +50,7 @@ func TestRunBasicDiscovery(t *testing.T) {
 		{Device: senderOnly(u.Sender), Phase: 0},
 		{Device: listenOnly(u.Listener), Phase: 0},
 	}
-	res, err := runNodes(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRunRespectsPhases(t *testing.T) {
 		{Device: senderOnly(u.Sender), Phase: 5},
 		{Device: listenOnly(u.Listener), Phase: 0},
 	}
-	res, err := runNodes(nodes, Config{Horizon: 1000})
+	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestCollisionsDestroyOverlappingPackets(t *testing.T) {
 		{Device: senderOnly(b), Phase: 5}, // overlaps [5,15) vs [0,10)
 		{Device: listenOnly(c), Phase: 0},
 	}
-	res, err := runNodes(nodes, Config{Horizon: 1000, Collisions: true})
+	res, err := runNodes(nodes, Config{Horizon: 1000, Collisions: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestCollisionsDestroyOverlappingPackets(t *testing.T) {
 		t.Error("collided packet was received")
 	}
 	// Same setup without the collision channel: reception succeeds.
-	res2, _ := runNodes(nodes, Config{Horizon: 1000, Collisions: false})
+	res2, _ := runNodes(nodes, Config{Horizon: 1000, Collisions: false}, nil)
 	if _, ok := firstEnd(res2, 2, 0); !ok {
 		t.Error("no reception even without collisions")
 	}
@@ -166,7 +167,7 @@ func TestCollisionChainMarking(t *testing.T) {
 		{Device: senderOnly(s2)},
 		{Device: listenOnly(schedule.WindowSeq{Windows: []schedule.Window{{Start: 0, Len: 1000}}, Period: 1000})},
 	}
-	res, err := runNodes(nodes, Config{Horizon: 1000, Collisions: true})
+	res, err := runNodes(nodes, Config{Horizon: 1000, Collisions: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +185,14 @@ func TestHalfDuplexBlocksOwnReception(t *testing.T) {
 		{Device: senderOnly(sender)},
 		{Device: schedule.Device{B: rxB, C: rxC}},
 	}
-	res, err := runNodes(nodes, Config{Horizon: 1000, HalfDuplex: true})
+	res, err := runNodes(nodes, Config{Horizon: 1000, HalfDuplex: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := firstEnd(res, 1, 0); ok {
 		t.Error("half-duplex radio received while transmitting")
 	}
-	res2, _ := runNodes(nodes, Config{Horizon: 1000, HalfDuplex: false})
+	res2, _ := runNodes(nodes, Config{Horizon: 1000, HalfDuplex: false}, nil)
 	if _, ok := firstEnd(res2, 1, 0); !ok {
 		t.Error("full-duplex control case failed to receive")
 	}
@@ -205,11 +206,11 @@ func TestTruncatedWindowsSemantics(t *testing.T) {
 		{Device: senderOnly(sender)},
 		{Device: listenOnly(c)},
 	}
-	res, _ := runNodes(nodes, Config{Horizon: 1000, TruncatedWindows: true})
+	res, _ := runNodes(nodes, Config{Horizon: 1000, TruncatedWindows: true}, nil)
 	if _, ok := firstEnd(res, 1, 0); ok {
 		t.Error("truncated packet received under A.3 semantics")
 	}
-	res2, _ := runNodes(nodes, Config{Horizon: 1000})
+	res2, _ := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if _, ok := firstEnd(res2, 1, 0); !ok {
 		t.Error("default semantics should accept the partially overlapping packet")
 	}
@@ -266,14 +267,14 @@ func TestJitterDecorrelatesPhaseLockedCollisions(t *testing.T) {
 		{Device: senderOnly(b), Phase: 10}, // overlaps: |10| < ω
 		{Device: listener, Phase: 0},
 	}
-	noJitter, err := runNodes(nodes, Config{Horizon: 200000, Collisions: true, Seed: 1})
+	noJitter, err := runNodes(nodes, Config{Horizon: 200000, Collisions: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := firstEnd(noJitter, 2, 0); ok {
 		t.Error("phase-locked collisions should never resolve without jitter")
 	}
-	withJitter, err := runNodes(nodes, Config{Horizon: 200000, Collisions: true, Jitter: 200, Seed: 1})
+	withJitter, err := runNodes(nodes, Config{Horizon: 200000, Collisions: true, Jitter: 200}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,16 +309,16 @@ func TestCollectStats(t *testing.T) {
 
 func TestRunDeterministicForSeed(t *testing.T) {
 	u, _ := optimal.NewUnidirectional(2, 10, 4, 1)
-	cfg := Config{Horizon: 100000, Collisions: true, Jitter: 50, Seed: 99}
+	cfg := Config{Horizon: 100000, Collisions: true, Jitter: 50}
 	nodes := []Node{
 		{Device: senderOnly(u.Sender), Phase: 3},
 		{Device: listenOnly(u.Listener), Phase: 17},
 	}
-	a, err := runNodes(nodes, cfg)
+	a, err := runNodes(nodes, cfg, rand.New(rand.NewSource(99)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runNodes(nodes, cfg)
+	b, err := runNodes(nodes, cfg, rand.New(rand.NewSource(99)))
 	if err != nil {
 		t.Fatal(err)
 	}

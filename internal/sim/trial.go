@@ -45,9 +45,7 @@ func PairTrialScratch(e, f schedule.Device, cfg Config, rng *rand.Rand, scr *Scr
 	scr.nodes = grow(scr.nodes, 2)
 	scr.nodes[0] = Node{Device: e, Phase: randPhase(rng, e)}
 	scr.nodes[1] = Node{Device: f, Phase: randPhase(rng, f)}
-	runCfg := cfg
-	runCfg.Source = scr.childSource(rng.Int63())
-	wr, err := RunWorldScratch(worldFromNodes(scr.nodes, scr), runCfg, scr)
+	wr, err := RunWorldScratch(worldFromNodes(scr.nodes, scr), cfg, scr.jitterRand(rng.Int63()), scr)
 	if err != nil {
 		return 0, false, err
 	}
@@ -84,9 +82,7 @@ func GroupTrialScratch(dev schedule.Device, s int, cfg Config, rng *rand.Rand, s
 	for i := range scr.nodes {
 		scr.nodes[i] = Node{Device: dev, Phase: randPhase(rng, dev)}
 	}
-	runCfg := cfg
-	runCfg.Source = scr.childSource(rng.Int63())
-	wr, err := RunWorldScratch(worldFromNodes(scr.nodes, scr), runCfg, scr)
+	wr, err := RunWorldScratch(worldFromNodes(scr.nodes, scr), cfg, scr.jitterRand(rng.Int63()), scr)
 	if err != nil {
 		return GroupTrialResult{}, err
 	}
@@ -155,9 +151,7 @@ func ChurnTrialScratch(dev schedule.Device, s int, stay timebase.Ticks, cfg Conf
 			Depart: depart,
 		}
 	}
-	runCfg := cfg
-	runCfg.Source = scr.childSource(rng.Int63())
-	wr, err := RunWorldScratch(worldFromNodes(nodes, scr), runCfg, scr)
+	wr, err := RunWorldScratch(worldFromNodes(nodes, scr), cfg, scr.jitterRand(rng.Int63()), scr)
 	if err != nil {
 		return nil, WorldResult{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/interval"
 	"repro/internal/schedule"
 	"repro/internal/timebase"
 )
@@ -13,14 +14,16 @@ import (
 // This file is the simulation kernel: one event-driven engine over a world
 // of nodes × radios × channels. Every node owns a set of channel-tagged
 // periodic beacon schedules (emissions) and window schedules (listens); the
-// kernel merges all transmissions into one start-sorted timeline, resolves
-// ALOHA collisions per channel, and walks every listener's windows to find
-// first receptions. All trial paths — the single-channel pair/group/churn
-// workloads (PairTrialScratch, GroupTrialScratch, ChurnTrialScratch), the
-// multi-channel advertiser/scanner pair (MultiChannelPairTrialScratch), the
-// slot-aligned pairs (SlotGridPair.TrialScratch) and the multi-node
-// multi-channel workloads (MultiChannelGroupTrialScratch,
-// MultiChannelChurnTrialScratch) — are thin configurations of this kernel.
+// kernel generates every emission's transmissions as one start-sorted run,
+// resolves ALOHA collisions per channel in one start-ordered pass over all
+// packets, and matches every listener's windows against each sender's runs
+// to find first receptions. All trial paths — the single-channel
+// pair/group/churn workloads (PairTrialScratch, GroupTrialScratch,
+// ChurnTrialScratch), the multi-channel advertiser/scanner pair
+// (MultiChannelPairTrialScratch), the slot-aligned pairs
+// (SlotGridPair.TrialScratch) and the multi-node multi-channel workloads
+// (MultiChannelGroupTrialScratch, MultiChannelChurnTrialScratch) — are thin
+// configurations of this kernel.
 
 // Emission is one periodic beacon schedule a node transmits on a channel.
 // Phase places the schedule's origin at absolute time Phase.
@@ -138,26 +141,31 @@ type ChannelLoad struct {
 
 // WorldResult aggregates one kernel run.
 type WorldResult struct {
-	// First[r][s] is the earliest reception of sender s at receiver r
-	// (earliest packet start; ties broken by channel); a missing key means
-	// no reception within the horizon.
-	First map[int]map[int]Reception
-
 	// Transmissions and Collided count packets on air and packets
 	// destroyed by the per-channel collision model, over all channels;
 	// PerChannel splits both by channel (indexed by channel id).
 	Transmissions, Collided int
 	PerChannel              []ChannelLoad
+
+	// receptions is the nodes × nodes table of earliest receptions,
+	// row-major by receiver; see FirstReception.
+	receptions []firstCell
+	nodes      int
 }
 
-// FirstReception returns receiver's earliest reception of sender, if any.
+// firstCell is one (receiver, sender) entry of the first-reception table.
+type firstCell struct {
+	rec   Reception
+	found bool
+}
+
+// FirstReception returns receiver's earliest reception of sender (earliest
+// packet start; ties broken by channel), and false when receiver heard
+// nothing from sender within the horizon. Both are node indices of the
+// run.
 func (r WorldResult) FirstReception(receiver, sender int) (Reception, bool) {
-	m, ok := r.First[receiver]
-	if !ok {
-		return Reception{}, false
-	}
-	rec, ok := m[sender]
-	return rec, ok
+	c := r.receptions[receiver*r.nodes+sender]
+	return c.rec, c.found
 }
 
 // channelCount returns 1 + the highest channel id used by any emission or
@@ -185,11 +193,6 @@ func channelCount(nodes []WorldNode) (int, error) {
 	return max + 1, nil
 }
 
-// linearMergeMax is the run count up to which the collision merge scan uses
-// a linear min-scan over the run heads instead of a binary heap; beyond it
-// the heap's O(log k) per element wins.
-const linearMergeMax = 16
-
 // txRun is one contiguous, start-sorted segment of the generation buffer:
 // the transmissions of a single (node, emission) pair, all on one channel.
 type txRun struct {
@@ -211,43 +214,14 @@ func txCmp(a, b transmission) int {
 	}
 }
 
-// runLess orders two active runs in a k-way merge by current head start,
-// ties broken by run ordinal, so the merged order is deterministic.
-func runLess(txs []transmission, pos []int, a, b int) bool {
-	sa, sb := txs[pos[a]].start, txs[pos[b]].start
-	if sa != sb {
-		return sa < sb
-	}
-	return a < b
-}
-
-// siftRun restores the min-heap property of h (a heap of run ordinals keyed
-// by runLess) after h[i] changed.
-func siftRun(h []int, i int, txs []transmission, pos []int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && runLess(txs, pos, h[r], h[l]) {
-			m = r
-		}
-		if !runLess(txs, pos, h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
 // RunWorldScratch simulates the node set under cfg: it materializes every
-// emission's jittered transmissions, marks per-channel collisions, and
-// records every listener's first reception per sender. Every run is
-// deterministic given cfg's RNG stream. All kernel buffers come from scr
-// and the result aliases it (valid until the next run on the same
-// Scratch).
-func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, error) {
+// emission's transmissions, delayed by jitter drawn from rng, marks
+// per-channel collisions, and records every listener's first reception
+// per sender. rng may be nil when cfg.Jitter is 0, and is an error
+// otherwise; every run is deterministic given rng's stream. All kernel
+// buffers come from scr and the result aliases it (valid until the next
+// run on the same Scratch).
+func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch) (WorldResult, error) {
 	if cfg.Horizon <= 0 {
 		return WorldResult{}, fmt.Errorf("sim: horizon %d must be positive", cfg.Horizon)
 	}
@@ -258,12 +232,8 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 	if err != nil {
 		return WorldResult{}, err
 	}
-	// The RNG only feeds jitter; materializing it lazily spares jitter-free
-	// configurations without an injected Source the (expensive) default
-	// math/rand seeding.
-	var rng *rand.Rand
-	if cfg.Jitter > 0 {
-		rng = scr.kernelRNG(cfg)
+	if cfg.Jitter > 0 && rng == nil {
+		return WorldResult{}, fmt.Errorf("sim: jitter %d needs an rng", cfg.Jitter)
 	}
 
 	// Precompute the half-duplex airtime maxima per emission (node-major
@@ -348,7 +318,7 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 					if len(txs) > runLo && start < txs[len(txs)-1].start {
 						sorted = false
 					}
-					txs = append(txs, transmission{sender: int32(i), channel: int32(em.Channel), start: start, end: end})
+					txs = append(txs, transmission{start: start, end: end, channel: int32(em.Channel)})
 				}
 			}
 			if len(txs) == runLo {
@@ -363,149 +333,21 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 	}
 	scr.txs, scr.runs = txs, runs
 
-	// Mark collisions per channel: a packet is destroyed iff its airtime
-	// overlaps another packet's on the same channel. One time-ordered pass
-	// per channel with a running furthest-end suffices: any packet starting
-	// before the channel's furthest end overlaps the packet holding it, and
-	// every overlapping pair is witnessed this way (if X overlaps a later W
-	// on its channel, then at W's turn the channel's running maximum either
-	// is X or belongs to a packet that overlaps X, which marked X earlier).
-	// Equal-start packets overlap each other, so the marks do not depend on
-	// how ties were ordered. The time order comes from a k-way merge scan
-	// over the channel's runs (keyed by head start, ties by run ordinal)
-	// that writes marks in place — no merged copy of the timeline is ever
-	// built — and the per-channel collided totals are counted on the
-	// false→true mark transitions, so no separate counting pass runs.
 	scr.perLoad = grow(scr.perLoad, nCh)
-	for c := range scr.perLoad {
-		scr.perLoad[c] = ChannelLoad{}
-	}
+	clear(scr.perLoad)
+	scr.receptions = grow(scr.receptions, len(nodes)*len(nodes))
+	clear(scr.receptions)
 	res := WorldResult{
-		First:      scr.firstMaps(),
-		PerChannel: scr.perLoad,
+		Transmissions: len(txs),
+		PerChannel:    scr.perLoad,
+		receptions:    scr.receptions,
+		nodes:         len(nodes),
 	}
-	res.Transmissions = len(txs)
 	for ri := range runs {
 		res.PerChannel[runs[ri].channel].Transmissions += runs[ri].hi - runs[ri].lo
 	}
 	if cfg.Collisions {
-		scr.runPos = grow(scr.runPos, len(runs))
-		pos := scr.runPos
-		for c := 0; c < nCh; c++ {
-			h := scr.heap[:0]
-			for ri := range runs {
-				if runs[ri].channel == c {
-					h = append(h, ri)
-					pos[ri] = runs[ri].lo
-				}
-			}
-			scr.heap = h
-			maxEnd := timebase.Ticks(0)
-			maxIdx := -1
-			col := 0
-			if len(h) == 1 {
-				ru := runs[h[0]]
-				for gi := ru.lo; gi < ru.hi; gi++ {
-					if maxIdx >= 0 && txs[gi].start < maxEnd {
-						if !txs[gi].collided {
-							txs[gi].collided = true
-							col++
-						}
-						if !txs[maxIdx].collided {
-							txs[maxIdx].collided = true
-							col++
-						}
-					}
-					if txs[gi].end > maxEnd {
-						maxEnd = txs[gi].end
-						maxIdx = gi
-					}
-				}
-				res.PerChannel[c].Collided = col
-				res.Collided += col
-				continue
-			}
-			if len(h) <= linearMergeMax {
-				// Few runs: a linear min-scan over the cached head starts
-				// beats heap bookkeeping (no sift swaps, one tiny array in
-				// cache). Ties pick the lowest slot = lowest run ordinal,
-				// the same order the heap produces.
-				heads := grow(scr.headStart, len(h))
-				scr.headStart = heads
-				for j, ri := range h {
-					heads[j] = txs[pos[ri]].start
-				}
-				for {
-					best := -1
-					bs := timebase.Ticks(math.MaxInt64)
-					for j := range heads {
-						if heads[j] < bs {
-							bs = heads[j]
-							best = j
-						}
-					}
-					if best < 0 {
-						break
-					}
-					ri := h[best]
-					gi := pos[ri]
-					if maxIdx >= 0 && txs[gi].start < maxEnd {
-						if !txs[gi].collided {
-							txs[gi].collided = true
-							col++
-						}
-						if !txs[maxIdx].collided {
-							txs[maxIdx].collided = true
-							col++
-						}
-					}
-					if txs[gi].end > maxEnd {
-						maxEnd = txs[gi].end
-						maxIdx = gi
-					}
-					pos[ri]++
-					if pos[ri] < runs[ri].hi {
-						heads[best] = txs[pos[ri]].start
-					} else {
-						heads[best] = math.MaxInt64
-					}
-				}
-				res.PerChannel[c].Collided = col
-				res.Collided += col
-				continue
-			}
-			for i := len(h)/2 - 1; i >= 0; i-- {
-				siftRun(h, i, txs, pos)
-			}
-			for len(h) > 0 {
-				top := h[0]
-				gi := pos[top]
-				if maxIdx >= 0 && txs[gi].start < maxEnd {
-					if !txs[gi].collided {
-						txs[gi].collided = true
-						col++
-					}
-					if !txs[maxIdx].collided {
-						txs[maxIdx].collided = true
-						col++
-					}
-				}
-				if txs[gi].end > maxEnd {
-					maxEnd = txs[gi].end
-					maxIdx = gi
-				}
-				pos[top]++
-				if pos[top] == runs[top].hi {
-					h[0] = h[len(h)-1]
-					h = h[:len(h)-1]
-				}
-				if len(h) > 0 {
-					siftRun(h, 0, txs, pos)
-				}
-			}
-			res.PerChannel[c].Collided = col
-			res.Collided += col
-		}
+		res.Collided = scr.markCollisions(txs, runs, res.PerChannel)
 	}
 
 	// Reception, walked per (receiver, listening, sender run) instead of
@@ -591,17 +433,10 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 							continue
 						}
 						rec := Reception{Start: tx.start, End: tx.end, Channel: int(tx.channel)}
-						m := res.First[r]
-						if m == nil {
-							m = scr.innerMap()
-							m[s] = rec
-							res.First[r] = m
-							break
-						}
-						prev, seen := m[s]
-						if !seen || rec.Start < prev.Start ||
-							(rec.Start == prev.Start && rec.Channel < prev.Channel) {
-							m[s] = rec
+						c := &res.receptions[r*len(nodes)+s]
+						if !c.found || rec.Start < c.rec.Start ||
+							(rec.Start == c.rec.Start && rec.Channel < c.rec.Channel) {
+							*c = firstCell{rec: rec, found: true}
 						}
 						break
 					}
@@ -610,6 +445,76 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 		}
 	}
 	return res, nil
+}
+
+// markCollisions marks every packet whose airtime overlaps another
+// packet's on its channel, counts the marks into loads by channel, and
+// returns their total. One pass over all packets in start order, with a
+// running furthest end per channel, suffices: any packet starting before
+// its channel's furthest end overlaps the packet holding it, and every
+// overlapping pair is witnessed this way (if X overlaps a later W on its
+// channel, then at W's turn the channel's running maximum either is X or
+// belongs to a packet that overlaps X, which marked X earlier). Equal-start
+// packets overlap each other, so the marks do not depend on how ties are
+// ordered. The order comes from one key per packet, its start's offset
+// from the earliest start (which the start-sorted runs give), checked for
+// order as the keys are built and radix-sorted only when out of order: a
+// lone emitter's packets already are in order.
+func (s *Scratch) markCollisions(txs []transmission, runs []txRun, loads []ChannelLoad) int {
+	if len(runs) == 0 {
+		return 0
+	}
+	earliest, latest := txs[runs[0].lo].start, txs[runs[0].hi-1].start
+	for _, ru := range runs[1:] {
+		earliest = min(earliest, txs[ru.lo].start)
+		latest = max(latest, txs[ru.hi-1].start)
+	}
+	keys := grow(s.keys, len(txs))
+	sorted := true
+	prev := uint64(0)
+	for i := range txs {
+		key := uint64(txs[i].start - earliest)
+		sorted = sorted && key >= prev
+		keys[i], prev = interval.Keyed{Key: key, Val: int64(i)}, key
+	}
+	if !sorted {
+		keys, s.keyBuf = interval.RadixSort(keys, s.keyBuf, uint64(latest-earliest))
+	}
+	s.keys = keys
+	s.furthest = grow(s.furthest, len(loads))
+	for c := range s.furthest {
+		s.furthest[c] = furthest{end: math.MinInt64}
+	}
+	for _, k := range keys {
+		tx := &txs[k.Val]
+		c := tx.channel
+		f := &s.furthest[c]
+		if tx.start < f.end {
+			if !tx.collided {
+				tx.collided = true
+				loads[c].Collided++
+			}
+			if held := &txs[f.idx]; !held.collided {
+				held.collided = true
+				loads[c].Collided++
+			}
+		}
+		if tx.end > f.end {
+			f.end, f.idx = tx.end, k.Val
+		}
+	}
+	total := 0
+	for _, l := range loads {
+		total += l.Collided
+	}
+	return total
+}
+
+// furthest is one channel's running furthest packet end in the collision
+// pass, and the index of the packet holding it.
+type furthest struct {
+	end timebase.Ticks
+	idx int64
 }
 
 // windowAt returns the index of the last window with Start ≤ off, or -1.

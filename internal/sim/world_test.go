@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/multichannel"
@@ -62,13 +63,21 @@ func bruteTransmitsDuring(n *WorldNode, from, to timebase.Ticks) bool {
 	return false
 }
 
+// bruteResult is the reference's outcome: the kernel's traffic counters
+// plus every first reception, keyed by (receiver, sender).
+type bruteResult struct {
+	Transmissions, Collided int
+	PerChannel              []ChannelLoad
+	First                   map[[2]int]Reception
+}
+
 // bruteWorld is the O(n²) reference implementation of the kernel: pairwise
 // collision marking per channel and a direct scan of every (window, packet)
 // combination, with no sorting, no binary search, no running maxima, and
 // its own occurrence enumeration and half-duplex check. The kernel must
 // agree with it exactly — transmissions, per-channel loads and every first
-// reception.
-func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config) WorldResult {
+// reception. rng supplies the jitter, as it does to the kernel.
+func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config, rng *rand.Rand) bruteResult {
 	t.Helper()
 	nCh, err := channelCount(nodes)
 	if err != nil {
@@ -78,10 +87,6 @@ func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config) WorldResult {
 		sender, channel int
 		start, end      timebase.Ticks
 		collided        bool
-	}
-	var rng *rand.Rand
-	if cfg.Jitter > 0 {
-		rng = cfg.rng()
 	}
 	var txs []btx
 	for i, n := range nodes {
@@ -130,10 +135,10 @@ func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config) WorldResult {
 			}
 		}
 	}
-	res := WorldResult{
-		First:         make(map[int]map[int]Reception),
+	res := bruteResult{
 		Transmissions: len(txs),
 		PerChannel:    make([]ChannelLoad, nCh),
+		First:         make(map[[2]int]Reception),
 	}
 	for _, tx := range txs {
 		res.PerChannel[tx.channel].Transmissions++
@@ -174,15 +179,11 @@ func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config) WorldResult {
 						continue
 					}
 					rec := Reception{Start: tx.start, End: tx.end, Channel: tx.channel}
-					m := res.First[r]
-					if m == nil {
-						res.First[r] = map[int]Reception{tx.sender: rec}
-						continue
-					}
-					prev, seen := m[tx.sender]
+					key := [2]int{r, tx.sender}
+					prev, seen := res.First[key]
 					if !seen || rec.Start < prev.Start ||
 						(rec.Start == prev.Start && rec.Channel < prev.Channel) {
-						m[tx.sender] = rec
+						res.First[key] = rec
 					}
 				}
 			}
@@ -191,13 +192,21 @@ func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config) WorldResult {
 	return res
 }
 
-func compareWorlds(t *testing.T, label string, nodes []WorldNode, cfg Config) {
+// compareWorlds runs the kernel and the reference on the same world, each
+// with its own jitter stream seeded with jitterSeed, and demands equal
+// traffic, per-channel loads and first receptions.
+func compareWorlds(t *testing.T, label string, nodes []WorldNode, cfg Config, jitterSeed int64) {
 	t.Helper()
-	got, err := RunWorldScratch(nodes, cfg, NewScratch())
+	var kernelRNG, bruteRNG *rand.Rand
+	if cfg.Jitter > 0 {
+		kernelRNG = rand.New(rand.NewSource(jitterSeed))
+		bruteRNG = rand.New(rand.NewSource(jitterSeed))
+	}
+	got, err := RunWorldScratch(nodes, cfg, kernelRNG, NewScratch())
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	want := bruteWorld(t, nodes, cfg)
+	want := bruteWorld(t, nodes, cfg, bruteRNG)
 	if got.Transmissions != want.Transmissions || got.Collided != want.Collided {
 		t.Fatalf("%s: traffic diverges: kernel %d/%d, brute force %d/%d",
 			label, got.Transmissions, got.Collided, want.Transmissions, want.Collided)
@@ -205,8 +214,15 @@ func compareWorlds(t *testing.T, label string, nodes []WorldNode, cfg Config) {
 	if !reflect.DeepEqual(got.PerChannel, want.PerChannel) {
 		t.Fatalf("%s: per-channel loads diverge:\nkernel %+v\nbrute  %+v", label, got.PerChannel, want.PerChannel)
 	}
-	if !reflect.DeepEqual(got.First, want.First) {
-		t.Fatalf("%s: receptions diverge:\nkernel %+v\nbrute  %+v", label, got.First, want.First)
+	for r := range nodes {
+		for snd := range nodes {
+			rec, ok := got.FirstReception(r, snd)
+			wantRec, wantOK := want.First[[2]int{r, snd}]
+			if ok != wantOK || rec != wantRec {
+				t.Fatalf("%s: reception of %d at %d diverges: kernel %+v (%v), brute force %+v (%v)",
+					label, snd, r, rec, ok, wantRec, wantOK)
+			}
+		}
 	}
 }
 
@@ -256,9 +272,9 @@ func randomWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn 
 
 // TestRunWorldMatchesBruteForce drives the kernel across randomized small
 // worlds — 1 to 3 channels, every channel-semantics combination, static and
-// churning presence — and demands exact agreement with the quadratic
-// reference on traffic, per-channel collision accounting and every first
-// reception.
+// churning presence — and across crowds of 17 to 24 emitters on one
+// channel, and demands exact agreement with the quadratic reference on
+// traffic, per-channel collision accounting and every first reception.
 func TestRunWorldMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	horizon := timebase.Ticks(3000)
@@ -274,14 +290,96 @@ func TestRunWorldMatchesBruteForce(t *testing.T) {
 			TruncatedWindows: trial%5 == 0,
 		}
 		if trial%7 == 0 {
-			// Seed, not Source: both the kernel and the reference call
-			// cfg.rng(), and a shared Source instance would hand the
-			// second caller the first one's leftover stream state.
 			cfg.Jitter = timebase.Ticks(rng.Intn(30) + 1)
-			cfg.Seed = int64(trial) + 1
 		}
-		compareWorlds(t, "random world", nodes, cfg)
+		compareWorlds(t, "random world", nodes, cfg, int64(trial)+1)
 	}
+	// Crowds: more than 16 emitters on channel 0, on the collision channel,
+	// some jittered and some with many equal starts.
+	crowdRNG := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 24; trial++ {
+		nNodes := 17 + crowdRNG.Intn(8)
+		equalStarts := trial%3 == 0
+		nodes := crowdWorld(crowdRNG, nNodes, 1+trial%2, horizon, trial%4 == 3, equalStarts)
+		cfg := Config{
+			Horizon:    horizon,
+			Collisions: true,
+			HalfDuplex: trial%5 < 2,
+		}
+		if trial%2 == 1 {
+			cfg.Jitter = timebase.Ticks(crowdRNG.Intn(30) + 1)
+		}
+		compareWorlds(t, "crowd world", nodes, cfg, int64(trial)+1)
+	}
+}
+
+// crowdWorld is randomWorld plus one channel-0 emission per node, so all
+// nNodes nodes emit on channel 0. With equalStarts those emissions share
+// one period and phase and draw their offsets from four values, so many
+// packets start at the same tick.
+func crowdWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn, equalStarts bool) []WorldNode {
+	nodes := randomWorld(rng, nNodes, nCh, horizon, churn)
+	shared := timebase.Ticks(rng.Intn(300) + 100)
+	for i := range nodes {
+		period := shared
+		at := 10 * timebase.Ticks(rng.Intn(4))
+		phase := timebase.Ticks(0)
+		if !equalStarts {
+			period = timebase.Ticks(rng.Intn(400) + 50)
+			at = timebase.Ticks(rng.Intn(int(period - 20)))
+			phase = timebase.Ticks(rng.Intn(500)) - 250
+		}
+		nodes[i].Emits = append(nodes[i].Emits, Emission{
+			Channel: 0,
+			B: schedule.BeaconSeq{
+				Beacons: []schedule.Beacon{{Time: at, Len: timebase.Ticks(rng.Intn(20) + 1)}},
+				Period:  period,
+			},
+			Phase: phase,
+		})
+	}
+	return nodes
+}
+
+// FuzzRunWorldMatchesBruteForce runs the kernel and the quadratic
+// reference on fuzzer-chosen worlds: seed drives randomWorld (or
+// crowdWorld), nodes and channels pick the world's size, and flags the
+// channel semantics. The two must agree exactly.
+func FuzzRunWorldMatchesBruteForce(f *testing.F) {
+	const (
+		collisions = 1 << iota
+		halfDuplex
+		truncated
+		jitter
+		churn
+		crowd
+		equalStarts
+	)
+	f.Add(int64(1), uint8(2), uint8(1), uint8(0))
+	f.Add(int64(2), uint8(20), uint8(1), uint8(collisions|jitter|crowd))
+	f.Add(int64(3), uint8(6), uint8(3), uint8(collisions|halfDuplex|churn))
+	f.Fuzz(func(t *testing.T, seed int64, nodes, channels, flags uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		horizon := timebase.Ticks(3000)
+		n := 2 + int(nodes)%23
+		nCh := 1 + int(channels)%3
+		var world []WorldNode
+		if flags&crowd != 0 {
+			world = crowdWorld(rng, n, nCh, horizon, flags&churn != 0, flags&equalStarts != 0)
+		} else {
+			world = randomWorld(rng, n, nCh, horizon, flags&churn != 0)
+		}
+		cfg := Config{
+			Horizon:          horizon,
+			Collisions:       flags&collisions != 0,
+			HalfDuplex:       flags&halfDuplex != 0,
+			TruncatedWindows: flags&truncated != 0,
+		}
+		if flags&jitter != 0 {
+			cfg.Jitter = timebase.Ticks(rng.Intn(30) + 1)
+		}
+		compareWorlds(t, "fuzzed world", world, cfg, seed)
+	})
 }
 
 // TestRunWorldMultiChannelGroupMatchesBruteForce pins the kernel against
@@ -316,7 +414,7 @@ func TestRunWorldMultiChannelGroupMatchesBruteForce(t *testing.T) {
 			}
 		}
 		cfg := Config{Horizon: horizon, Collisions: true, HalfDuplex: true}
-		compareWorlds(t, "multi-channel group world", nodes, cfg)
+		compareWorlds(t, "multi-channel group world", nodes, cfg, 0)
 	}
 }
 
@@ -325,16 +423,35 @@ func TestRunWorldRejectsBadInput(t *testing.T) {
 	ok := WorldNode{Emits: []Emission{{B: schedule.BeaconSeq{
 		Beacons: []schedule.Beacon{{Time: 0, Len: 1}}, Period: 10,
 	}}}}
-	if _, err := RunWorldScratch([]WorldNode{ok, ok}, Config{Horizon: 0}, NewScratch()); err == nil {
+	if _, err := RunWorldScratch([]WorldNode{ok, ok}, Config{Horizon: 0}, nil, NewScratch()); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := RunWorldScratch([]WorldNode{ok}, Config{Horizon: 100}, NewScratch()); err == nil {
+	if _, err := RunWorldScratch([]WorldNode{ok}, Config{Horizon: 100}, nil, NewScratch()); err == nil {
 		t.Error("single-node world accepted")
 	}
 	bad := ok
 	bad.Emits = []Emission{{Channel: -1, B: ok.Emits[0].B}}
-	if _, err := RunWorldScratch([]WorldNode{bad, ok}, Config{Horizon: 100}, NewScratch()); err == nil {
+	if _, err := RunWorldScratch([]WorldNode{bad, ok}, Config{Horizon: 100}, nil, NewScratch()); err == nil {
 		t.Error("negative channel accepted")
+	}
+}
+
+// TestRunWorldJitterNeedsRNG: jitter without a stream to draw it from is
+// an error, and a nil stream is fine without jitter.
+func TestRunWorldJitterNeedsRNG(t *testing.T) {
+	ok := WorldNode{Emits: []Emission{{B: schedule.BeaconSeq{
+		Beacons: []schedule.Beacon{{Time: 0, Len: 1}}, Period: 10,
+	}}}}
+	nodes := []WorldNode{ok, ok}
+	_, err := RunWorldScratch(nodes, Config{Horizon: 100, Jitter: 3}, nil, NewScratch())
+	if err == nil || !strings.Contains(err.Error(), "needs an rng") {
+		t.Errorf("jitter without an rng: got error %v", err)
+	}
+	if _, err := RunWorldScratch(nodes, Config{Horizon: 100}, nil, NewScratch()); err != nil {
+		t.Errorf("jitter-free run without an rng: %v", err)
+	}
+	if _, err := RunWorldScratch(nodes, Config{Horizon: 100, Jitter: 3}, rand.New(NewFastSource(1)), NewScratch()); err != nil {
+		t.Errorf("jittered run with an rng: %v", err)
 	}
 }
 
