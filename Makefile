@@ -24,6 +24,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournalManifest -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 15s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzRunWorldMatchesBruteForce -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzPairKernelsMatchAnalyses -fuzztime 15s ./internal/sim
 
 # Full-tree race detector run — the CI "race (full tree)" gate.
 race:
@@ -54,9 +55,13 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-# Benchmark registry smoke run, matching the CI bench job.
+# Benchmark registry smoke runs, matching the CI bench job: one on every
+# core, and one on one P, which keeps the engine rows' allocs/op
+# independent of how the worker pool splits trial windows (the run CI's
+# strict allocs gate compares).
 bench:
 	$(GO) run ./cmd/ndbench -benchtime 100ms -label local -out bench-current.json
+	GOMAXPROCS=1 $(GO) run ./cmd/ndbench -benchtime 100ms -label "local, GOMAXPROCS=1" -out bench-1p.json
 
 # Regenerate the golden result files after an intentional output change.
 # Review the diff: goldens are the bit-identical determinism contract.

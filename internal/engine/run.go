@@ -553,8 +553,10 @@ func runPoints(scenarios []Scenario, opt Options) ([]*point, error) {
 		go func(w int) {
 			defer wg.Done()
 			// Each worker owns one simulation arena, reused across every
-			// trial it runs (see sim.Scratch for the ownership rules).
-			scr := sim.NewScratch()
+			// trial it runs (see sim.Scratch for the ownership rule) and
+			// kept in the pool for later runs unless it grew large.
+			scr := arenas.Get().(*sim.Scratch)
+			defer releaseArena(scr)
 			for it := range work {
 				p := it.p
 				// Cancellation is honored between trial windows: an
@@ -641,6 +643,26 @@ func RunSuite(scenarios []Scenario, opt Options) ([]Aggregate, error) {
 	return runMany(scenarios, opt)
 }
 
+// arenas keeps simulation arenas across runs, so a small job reuses the
+// buffers an earlier run grew instead of regrowing them from empty. Reuse
+// is bit-identical by sim.Scratch's contract.
+var arenas = sync.Pool{New: func() any { return sim.NewScratch() }}
+
+// maxPooledArena bounds the arenas the pool keeps. Arenas never shrink and
+// a busy daemon keeps its pool alive, so a large crowd's arena (its
+// first-reception table alone is devices² × 32 bytes) would otherwise stay
+// for as long as the daemon runs. busynetwork's 20 devices hold about
+// 0.65 MB; the presets' other crowds and the pairs far less.
+const maxPooledArena = 2 << 20
+
+// releaseArena returns scr to the pool if it is small enough to keep, and
+// otherwise leaves it to the garbage collector.
+func releaseArena(scr *sim.Scratch) {
+	if scr.Footprint() <= maxPooledArena {
+		arenas.Put(scr)
+	}
+}
+
 // runTrial executes one trial on its own deterministic RNG stream, drawn
 // from the worker's arena, and adds its outcome into the worker's
 // accumulator: reseeding the arena's splitmix source in place yields the
@@ -663,13 +685,27 @@ func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash u
 			acc.Misses++
 		}
 
-	case b.Mode == modeMultiChannelGroup:
-		var res sim.MultiChannelGroupResult
+	case b.Mode == modeSlotGrid:
+		at, ok, err := b.SlotPair.TrialScratch(cfg.Horizon, rng, scr)
+		if err != nil {
+			return err
+		}
+		acc.addOutcome(at, ok)
+
+	case b.Mode == modeMultiChannelGroup || (sc.Churn == nil && sc.Population > 2):
+		// The crowd kinds: static groups on one or several channels and
+		// multi-channel churn share one outcome and one fold. Per-channel
+		// rows exist only for the multi-channel kinds (acc's channel
+		// counters are empty otherwise).
+		var res sim.ChurnTrialResult
 		var err error
-		if sc.Churn != nil {
+		switch {
+		case b.Mode != modeMultiChannelGroup:
+			res.GroupTrialResult, err = sim.GroupTrialScratch(b.E, sc.Population, cfg, rng, scr)
+		case sc.Churn != nil:
 			res, err = sim.MultiChannelChurnTrialScratch(b.MC, sc.Population, stay, cfg, rng, scr)
-		} else {
-			res, err = sim.MultiChannelGroupTrialScratch(b.MC, sc.Population, cfg, rng, scr)
+		default:
+			res.GroupTrialResult, err = sim.MultiChannelGroupTrialScratch(b.MC, sc.Population, cfg, rng, scr)
 		}
 		if err != nil {
 			return err
@@ -681,20 +717,11 @@ func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash u
 		acc.addContacts(res.Contacts)
 		acc.Transmissions += int64(res.Transmissions)
 		acc.Collided += int64(res.Collided)
-		for c, n := range res.Discoveries {
-			acc.ChanDisc[c] += int64(n)
+		for c := range acc.ChanDisc {
+			acc.ChanDisc[c] += int64(res.Discoveries[c])
+			acc.ChanTx[c] += int64(res.PerChannel[c].Transmissions)
+			acc.ChanColl[c] += int64(res.PerChannel[c].Collided)
 		}
-		for c, l := range res.PerChannel {
-			acc.ChanTx[c] += int64(l.Transmissions)
-			acc.ChanColl[c] += int64(l.Collided)
-		}
-
-	case b.Mode == modeSlotGrid:
-		at, ok, err := b.SlotPair.TrialScratch(cfg.Horizon, rng, scr)
-		if err != nil {
-			return err
-		}
-		acc.addOutcome(at, ok)
 
 	case sc.Churn != nil:
 		contacts, res, err := sim.ChurnTrialScratch(b.E, sc.Population, stay, cfg, rng, scr)
@@ -708,7 +735,7 @@ func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash u
 			acc.addOutcome(c.Latency, c.Discovered)
 		}
 
-	case sc.Population == 2:
+	default:
 		// The pair workload measures the one-way direction the bounds
 		// speak about: E's beacons against F's windows, stripped so that
 		// neither device's other half participates.
@@ -718,18 +745,6 @@ func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash u
 			return err
 		}
 		acc.addOutcome(at, ok)
-
-	default:
-		tr, err := sim.GroupTrialScratch(b.E, sc.Population, cfg, rng, scr)
-		if err != nil {
-			return err
-		}
-		for _, lat := range tr.Samples {
-			acc.add(lat)
-		}
-		acc.Misses += int64(tr.Misses)
-		acc.Transmissions += int64(tr.Transmissions)
-		acc.Collided += int64(tr.Collided)
 	}
 	return nil
 }

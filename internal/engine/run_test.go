@@ -3,7 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // groupScenario exercises every aggregation path: collisions, jitter,
@@ -281,5 +284,35 @@ func TestChurnContactBins(t *testing.T) {
 			t.Fatalf("bin [%.2f,%.2f): %d/%d discovered — guaranteed contacts missed on a quiet channel",
 				b.Lo, b.Hi, b.Discovered, b.Contacts)
 		}
+	}
+}
+
+// TestPooledArenasStayBounded: the engine keeps worker arenas across runs,
+// but not one a large crowd grew. busynetwork-jitter at 200 devices grows
+// an arena to about 6.7 MB, past maxPooledArena; after it and a small
+// crowd, the arena the pool hands out must be within the bound. With one P
+// the pool hands back what the last run put into it, so an oversized arena
+// the large run had kept would reach the small run and then this check.
+func TestPooledArenasStayBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	large, err := Preset("busynetwork-jitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	large.Population, large.Trials = 200, 1
+	small, err := Preset("ble3-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.Trials = 2
+	for _, sc := range []Scenario{large, small} {
+		if _, err := RunScenario(sc, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scr := arenas.Get().(*sim.Scratch)
+	defer releaseArena(scr)
+	if got := scr.Footprint(); got > maxPooledArena {
+		t.Errorf("pooled arena holds %d bytes, want at most %d", got, maxPooledArena)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/optimal"
 	"repro/internal/protocols"
 	"repro/internal/schedule"
+	"repro/internal/slots"
 	"repro/internal/timebase"
 )
 
@@ -23,34 +24,56 @@ func benchPair(tb testing.TB) (e, f schedule.Device) {
 	return schedule.Device{B: u.Sender}, schedule.Device{C: u.Listener}
 }
 
-// TestPairTrialScratchZeroAllocSteadyState pins the arena contract: after a
-// warm-up trial has grown the scratch to the workload's high-water mark,
-// further trials through the world kernel must not allocate at all. A
-// regression here silently reintroduces per-trial garbage on the hot path.
+// TestPairTrialScratchZeroAllocSteadyState pins the arena contract for
+// every trial entry point: 100 trials, each on its own seed and so its own
+// phases, arrivals and jitter, run once to grow the arena to their
+// high-water mark; run again on it, they must not allocate a single object
+// in total — their outputs live in the arena too. Counting the whole pass
+// rather than averaging per trial also catches garbage that only some
+// phases make. A regression here silently reintroduces per-trial garbage
+// on the hot path.
 func TestPairTrialScratchZeroAllocSteadyState(t *testing.T) {
 	e, f := benchPair(t)
-	cfg := Config{Horizon: 100000}
-	scr := NewScratch()
-	rng := rand.New(rand.NewSource(1))
-	// Warm-up: grows every arena slice and map to steady state.
-	for i := 0; i < 4; i++ {
-		if _, _, err := PairTrialScratch(e, f, cfg, rng, scr); err != nil {
-			t.Fatal(err)
-		}
+	disco, err := slots.Disco(5, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := PairTrialScratch(e, f, cfg, rng, scr); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state PairTrialScratch allocates %.1f objects/trial, want 0", allocs)
+	grid, err := NewSlotGridPair(disco, disco, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append(crowdCases(t), presetPairCases(t)...)
+	cases = append(cases,
+		trialCase{"pair", func(rng *rand.Rand, scr *Scratch) error {
+			_, _, err := PairTrialScratch(e, f, Config{Horizon: 100000}, rng, scr)
+			return err
+		}},
+		trialCase{"slotgrid", func(rng *rand.Rand, scr *Scratch) error {
+			_, _, err := grid.TrialScratch(500000, rng, scr)
+			return err
+		}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			scr := NewScratch()
+			pass := func() {
+				for seed := int64(1); seed <= 100; seed++ {
+					if err := c.trial(scr.Rand(seed), scr); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// AllocsPerRun runs the pass once unmeasured (the warm-up),
+			// then once measured.
+			if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+				t.Errorf("100 steady-state trials allocate %.0f objects, want 0", allocs)
+			}
+		})
 	}
 }
 
 // BenchmarkPairTrialScratch measures the raw per-trial kernel cost with a
 // reused arena — the inner loop of the engine's batched workers. allocs/op
-// must read 0 in steady state (asserted by the test above).
+// reads 0 in steady state (the test above asserts it for every kind).
 func BenchmarkPairTrialScratch(b *testing.B) {
 	e, f := benchPair(b)
 	cfg := Config{Horizon: 100000}
@@ -134,23 +157,26 @@ func benchTrials(b *testing.B, trial func(*rand.Rand, *Scratch) error) {
 	}
 }
 
-// BenchmarkCrowdTrials times the crowd presets' trials, where the kernel's
-// collision pass and reception walk carry the cost: busynetwork's 20
-// devices with and without jitter, churn-busy's 10 churning devices, and
-// ble3-crowd's and ble3-churn's BLE devices on 3 channels.
-func BenchmarkCrowdTrials(b *testing.B) {
-	busy, busyWorst := optimalPreset(b, 0.05)
+// trialCase is one named trial on a caller-owned arena.
+type trialCase struct {
+	name  string
+	trial func(*rand.Rand, *Scratch) error
+}
+
+// crowdCases are the crowd presets' trials, where the kernel's collision
+// pass and reception walk carry the cost: busynetwork's 20 devices with
+// and without jitter, churn-busy's 10 churning devices, and ble3-crowd's
+// and ble3-churn's BLE devices on 3 channels.
+func crowdCases(tb testing.TB) []trialCase {
+	busy, busyWorst := optimalPreset(tb, 0.05)
 	jitterCfg := Config{Horizon: 12 * busyWorst, Collisions: true, HalfDuplex: true, Jitter: 360 * timebase.Microsecond}
 	rawCfg := jitterCfg
 	rawCfg.Jitter = 0
 	churnCfg := Config{Horizon: 8 * busyWorst, Collisions: true, HalfDuplex: true, Jitter: 36 * timebase.Microsecond}
-	mc, mcWorst := ble3FastPreset(b)
+	mc, mcWorst := ble3FastPreset(tb)
 	mcCfg := Config{Horizon: 6 * mcWorst, Collisions: true, HalfDuplex: true}
 	mcChurnCfg := Config{Horizon: 10 * mcWorst, Collisions: true, HalfDuplex: true}
-	cases := []struct {
-		name  string
-		trial func(*rand.Rand, *Scratch) error
-	}{
+	return []trialCase{
 		{"busynetwork-jitter", func(rng *rand.Rand, scr *Scratch) error {
 			_, err := GroupTrialScratch(busy.E, 20, jitterCfg, rng, scr)
 			return err
@@ -172,26 +198,20 @@ func BenchmarkCrowdTrials(b *testing.B) {
 			return err
 		}},
 	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) { benchTrials(b, c.trial) })
-	}
 }
 
-// BenchmarkPresetPairTrials times the pair presets' trials: quickstart's
-// optimal pair at η = 2 % on its quiet channel and with collisions on
-// (which no preset sets, but which runs the collision pass on a lone
-// emitter), and ble3-fast's advertiser against a channel-cycling scanner.
-func BenchmarkPresetPairTrials(b *testing.B) {
-	quick, quickWorst := optimalPreset(b, 0.02)
+// presetPairCases are the pair presets' trials: quickstart's optimal pair
+// at η = 2 % on its quiet channel and with collisions on (which no preset
+// sets, but which runs the collision pass on a lone emitter), and
+// ble3-fast's advertiser against a channel-cycling scanner.
+func presetPairCases(tb testing.TB) []trialCase {
+	quick, quickWorst := optimalPreset(tb, 0.02)
 	sender, listener := schedule.Device{B: quick.E.B}, schedule.Device{C: quick.F.C}
 	quiet := Config{Horizon: 3 * quickWorst}
 	collisions := quiet
 	collisions.Collisions = true
-	mc, mcWorst := ble3FastPreset(b)
-	cases := []struct {
-		name  string
-		trial func(*rand.Rand, *Scratch) error
-	}{
+	mc, mcWorst := ble3FastPreset(tb)
+	return []trialCase{
 		{"quickstart", func(rng *rand.Rand, scr *Scratch) error {
 			_, _, err := PairTrialScratch(sender, listener, quiet, rng, scr)
 			return err
@@ -205,7 +225,19 @@ func BenchmarkPresetPairTrials(b *testing.B) {
 			return err
 		}},
 	}
-	for _, c := range cases {
+}
+
+// BenchmarkCrowdTrials times the crowd presets' trials (crowdCases).
+func BenchmarkCrowdTrials(b *testing.B) {
+	for _, c := range crowdCases(b) {
+		b.Run(c.name, func(b *testing.B) { benchTrials(b, c.trial) })
+	}
+}
+
+// BenchmarkPresetPairTrials times the pair presets' trials
+// (presetPairCases).
+func BenchmarkPresetPairTrials(b *testing.B) {
+	for _, c := range presetPairCases(b) {
 		b.Run(c.name, func(b *testing.B) { benchTrials(b, c.trial) })
 	}
 }

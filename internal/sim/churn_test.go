@@ -15,9 +15,9 @@ func TestNodePresenceGatesTransmissions(t *testing.T) {
 	// the one at 150 is on air.
 	b, _ := schedule.NewBeaconsAt([]timebase.Ticks{50}, 10, 100)
 	c, _ := schedule.NewWindowsAt([]schedule.Window{{Start: 0, Len: 1000}}, 1000)
-	nodes := []Node{
-		{Device: schedule.Device{B: b}, Arrive: 100, Depart: 200},
-		{Device: schedule.Device{C: c}},
+	nodes := []WorldNode{
+		present(device(schedule.Device{B: b}, 0), 100, 200),
+		device(schedule.Device{C: c}, 0),
 	}
 	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
@@ -37,9 +37,9 @@ func TestNodePresenceGatesReception(t *testing.T) {
 	// received.
 	b, _ := schedule.NewBeaconsAt([]timebase.Ticks{50}, 10, 100)
 	c, _ := schedule.NewWindowsAt([]schedule.Window{{Start: 0, Len: 1000}}, 1000)
-	nodes := []Node{
-		{Device: schedule.Device{B: b}},
-		{Device: schedule.Device{C: c}, Arrive: 100},
+	nodes := []WorldNode{
+		device(schedule.Device{B: b}, 0),
+		present(device(schedule.Device{C: c}, 0), 100, 0),
 	}
 	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
@@ -54,9 +54,9 @@ func TestNodePresenceGatesReception(t *testing.T) {
 func TestDepartedReceiverHearsNothing(t *testing.T) {
 	b, _ := schedule.NewBeaconsAt([]timebase.Ticks{500}, 10, 1000)
 	c, _ := schedule.NewWindowsAt([]schedule.Window{{Start: 0, Len: 1000}}, 1000)
-	nodes := []Node{
-		{Device: schedule.Device{B: b}},
-		{Device: schedule.Device{C: c}, Depart: 400},
+	nodes := []WorldNode{
+		device(schedule.Device{B: b}, 0),
+		present(device(schedule.Device{C: c}, 0), 0, 400),
 	}
 	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {

@@ -82,8 +82,15 @@ func (p *SlotGridPair) TrialScratch(horizon timebase.Ticks, rng *rand.Rand, scr 
 	if horizon <= 0 {
 		return 0, false, fmt.Errorf("sim: horizon %d must be positive", horizon)
 	}
-	u := int64(rng.Intn(int(p.pa)))
-	v := int64(rng.Intn(int(p.pb)))
+	u := timebase.Ticks(rng.Intn(int(p.pa)))
+	v := timebase.Ticks(rng.Intn(int(p.pb)))
+	return p.trialAt(u, v, horizon, scr)
+}
+
+// trialAt runs the trial with the sender at local slot u and the receiver
+// at local slot v when global slot 0 begins, on the runner that starts at
+// the longer schedule period.
+func (p *SlotGridPair) trialAt(u, v, horizon timebase.Ticks, scr *Scratch) (timebase.Ticks, bool, error) {
 	// The joint state repeats after the hyperperiod, so a longer horizon
 	// cannot change the outcome — capping the kernel run there bounds
 	// per-trial work by the schedule structure, not the caller's horizon.
@@ -98,32 +105,10 @@ func (p *SlotGridPair) TrialScratch(horizon timebase.Ticks, rng *rand.Rand, scr 
 	}
 	// Phase -u·slotLen places the sender's local slot u at global slot 0,
 	// so global slot t shows the sender's slot (u+t) mod pa against the
-	// receiver's (v+t) mod pb.
-	nodes := scr.worldNodes(2, 1, 1)
-	em := scr.nodeEmits(0, 1)
-	em[0] = Emission{Channel: 0, B: p.beacons, Phase: -timebase.Ticks(u) * p.slotLen}
-	ls := scr.nodeListens(1, 1)
-	ls[0] = Listening{Channel: 0, C: p.windows, Phase: -timebase.Ticks(v) * p.slotLen}
-	nodes[0] = WorldNode{Emits: em}
-	nodes[1] = WorldNode{Listens: ls}
-	// Escalating horizon: discovery typically lands within a couple of
-	// schedule periods, so start the kernel there and double up to the cap
-	// only on a miss. All packets are one slot long, so a reception found
-	// in a truncated run IS the overall first (an earlier one would end
-	// earlier still and be present in the same run) — trials that
-	// discover cost O(discovery delay), not O(horizon), and the geometric
-	// escalation bounds a missing trial at ~2× one capped run.
-	start := maxTicks(timebase.Ticks(p.pa), timebase.Ticks(p.pb)) * p.slotLen
-	for h := minTicks(start, limit); ; h = minTicks(2*h, limit) {
-		wr, err := RunWorldScratch(nodes, Config{Horizon: h}, nil, scr)
-		if err != nil {
-			return 0, false, err
-		}
-		if rec, ok := wr.FirstReception(1, 0); ok {
-			return rec.End, true, nil
-		}
-		if h == limit {
-			return 0, false, nil
-		}
-	}
+	// receiver's (v+t) mod pb. Every packet is one slot long.
+	nodes := scr.worldNodes(2, 1)
+	nodes[0] = scr.place(0, p.beacons, schedule.WindowSeq{}, -u*p.slotLen)
+	nodes[1] = scr.place(1, schedule.BeaconSeq{}, p.windows, -v*p.slotLen)
+	rec, ok, err := scr.escalate(nodes, timebase.Ticks(max(p.pa, p.pb))*p.slotLen, limit, 0)
+	return rec.End, ok, err
 }

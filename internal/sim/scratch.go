@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"unsafe"
 
 	"repro/internal/interval"
 	"repro/internal/multichannel"
@@ -11,17 +12,16 @@ import (
 
 // Scratch is a per-worker arena for the simulation kernel: every slice and
 // RNG the hot path needs lives here and is reused across trials, so a
-// steady-state trial allocates nothing beyond the samples it hands back. A
-// Scratch is NOT safe for concurrent use — the engine owns one per worker
-// goroutine, and a serial caller holds one across its loop. Reuse never
-// changes a result: a trial on a reused arena is bit-identical to the same
-// trial on a fresh one.
+// steady-state trial of any kind allocates nothing. A Scratch is NOT safe
+// for concurrent use — the engine's workers own one each, and a serial
+// caller holds one across its loop. Reuse never changes a result: a trial
+// on a reused arena is bit-identical to the same trial on a fresh one.
 //
-// Ownership rule: a WorldResult produced through a Scratch aliases the
-// arena (its first-reception table and PerChannel loads). It is valid only
-// until the next kernel run on the same Scratch; callers that keep data
-// across trials must copy it out first (see poolMultiChannel's PerChannel
-// copy).
+// Ownership rule, one for every output: whatever a trial or kernel run
+// returns through a Scratch — a WorldResult's first-reception table and
+// PerChannel loads, a crowd result's Samples, Discoveries and Contacts —
+// lives in the arena and is valid only until the next trial on the same
+// Scratch. Callers that keep data across trials copy it out first.
 type Scratch struct {
 	// Kernel buffers (RunWorldScratch).
 	txs          []transmission
@@ -34,15 +34,13 @@ type Scratch struct {
 	perLoad      []ChannelLoad
 	receptions   []firstCell // nodes × nodes first receptions, row-major by receiver
 
-	// Node-building buffers (trial primitives).
-	nodes     []Node
+	// Trial-layer buffers: the placed devices and the crowd outcome.
 	wnodes    []WorldNode
 	emitBuf   []Emission
 	listenBuf []Listening
+	result    ChurnTrialResult
 
-	// Multi-channel schedule templates, memoized per config: the beacon and
-	// window sequences of advertiserEmissions/scannerListens depend only on
-	// the multichannel.Config, not the per-trial phase.
+	// Multi-channel schedule templates, memoized per config (mcTemplates).
 	mcCfg     multichannel.Config
 	mcBeacons []schedule.BeaconSeq
 	mcWindows []schedule.WindowSeq
@@ -83,6 +81,25 @@ func (s *Scratch) jitterRand(seed int64) *rand.Rand {
 	return s.childRand
 }
 
+// Footprint returns the bytes the arena's buffers hold at their current
+// capacities: what keeping the arena for later trials keeps alive. The
+// first-reception table grows with the square of the largest world run on
+// the arena, the packet buffers with its packet count.
+func (s *Scratch) Footprint() int {
+	return capBytes(s.txs) + capBytes(s.runs) + capBytes(s.nodeRuns) +
+		capBytes(s.keys) + capBytes(s.keyBuf) + capBytes(s.furthest) +
+		capBytes(s.emMax) + capBytes(s.emBase) + capBytes(s.perLoad) +
+		capBytes(s.receptions) + capBytes(s.wnodes) + capBytes(s.emitBuf) +
+		capBytes(s.listenBuf) + capBytes(s.result.Samples) +
+		capBytes(s.result.Discoveries) + capBytes(s.result.Contacts)
+}
+
+// capBytes is the size of s's backing array.
+func capBytes[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
+}
+
 // grow returns s resized to length n, reallocating only when the capacity
 // is insufficient. Contents are NOT cleared.
 func grow[T any](s []T, n int) []T {
@@ -92,48 +109,24 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// mcTemplates returns the per-channel beacon and window sequences for a
-// multi-channel config, memoized so repeated trials of the same scenario
-// skip the per-channel slice allocations. The sequences are extracted from
-// the canonical zero-phase builders (advertiserEmissions/scannerListens) —
-// only Phase varies per trial, and Phase lives outside the sequences.
-func (s *Scratch) mcTemplates(mc multichannel.Config) ([]schedule.BeaconSeq, []schedule.WindowSeq) {
-	if s.mcBeacons != nil && s.mcCfg == mc {
-		return s.mcBeacons, s.mcWindows
-	}
-	bs := make([]schedule.BeaconSeq, mc.Channels)
-	ws := make([]schedule.WindowSeq, mc.Channels)
-	for c, em := range advertiserEmissions(mc, 0) {
-		bs[c] = em.B
-	}
-	for c, ls := range scannerListens(mc, 0) {
-		ws[c] = ls.C
-	}
-	s.mcCfg, s.mcBeacons, s.mcWindows = mc, bs, ws
-	return bs, ws
-}
-
-// worldNodes returns the arena's WorldNode buffer resized to n, with the
-// per-node emission and listening backing arrays sized for per-node counts
-// emits and listens. Node i's slices are emitBuf[i*emits : (i+1)*emits]
-// and likewise for listens; callers fill them by index.
-func (s *Scratch) worldNodes(n, emits, listens int) []WorldNode {
+// worldNodes returns the arena's WorldNode buffer resized to n and
+// cleared, with per-node emission and listening backing arrays for per
+// schedules each; nodeEmits and nodeListens hand out node i's share.
+func (s *Scratch) worldNodes(n, per int) []WorldNode {
 	s.wnodes = grow(s.wnodes, n)
-	for i := range s.wnodes {
-		s.wnodes[i] = WorldNode{}
-	}
-	s.emitBuf = grow(s.emitBuf, n*emits)
-	s.listenBuf = grow(s.listenBuf, n*listens)
+	clear(s.wnodes)
+	s.emitBuf = grow(s.emitBuf, n*per)
+	s.listenBuf = grow(s.listenBuf, n*per)
 	return s.wnodes
 }
 
-// nodeEmits returns node i's emission sub-slice (per-node count emits),
-// capacity-clamped so appends cannot bleed into a neighbor's range.
-func (s *Scratch) nodeEmits(i, emits int) []Emission {
-	return s.emitBuf[i*emits : (i+1)*emits : (i+1)*emits]
+// nodeEmits returns node i's emission sub-slice, capacity-clamped so
+// appends cannot bleed into a neighbor's range.
+func (s *Scratch) nodeEmits(i, per int) []Emission {
+	return s.emitBuf[i*per : (i+1)*per : (i+1)*per]
 }
 
 // nodeListens returns node i's listening sub-slice.
-func (s *Scratch) nodeListens(i, listens int) []Listening {
-	return s.listenBuf[i*listens : (i+1)*listens : (i+1)*listens]
+func (s *Scratch) nodeListens(i, per int) []Listening {
+	return s.listenBuf[i*per : (i+1)*per : (i+1)*per]
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/multichannel"
 	"repro/internal/optimal"
@@ -82,6 +83,15 @@ func assertNoLeak(t *testing.T, name string, trial func(*rand.Rand, *Scratch) (a
 	})
 }
 
+// ownGroup copies a crowd outcome out of its arena (an empty slice comes
+// out nil whichever arena produced it).
+func ownGroup(res GroupTrialResult) GroupTrialResult {
+	res.Samples = append([]timebase.Ticks(nil), res.Samples...)
+	res.PerChannel = append([]ChannelLoad(nil), res.PerChannel...)
+	res.Discoveries = append([]int(nil), res.Discoveries...)
+	return res
+}
+
 type pairOutcome struct {
 	At timebase.Ticks
 	OK bool
@@ -103,23 +113,26 @@ func TestScratchReuseLeaksNothingAcrossKinds(t *testing.T) {
 		at, ok, err := PairTrialScratch(sender, listener, quiet, rng, scr)
 		return pairOutcome{at, ok}, err
 	})
+	// Crowd outcomes live in the arena until its next trial, so the
+	// sequences keep copies.
 	assertNoLeak(t, "group", func(rng *rand.Rand, scr *Scratch) (any, error) {
-		return GroupTrialScratch(sym, 5, busy, rng, scr)
+		res, err := GroupTrialScratch(sym, 5, busy, rng, scr)
+		return ownGroup(res), err
 	})
 	assertNoLeak(t, "churn", func(rng *rand.Rand, scr *Scratch) (any, error) {
 		contacts, _, err := ChurnTrialScratch(sym, 5, 40000, busy, rng, scr)
-		// The WorldResult aliases the arena by contract; the contact
-		// records are the retained output.
 		return append([]Contact(nil), contacts...), err
 	})
 	assertNoLeak(t, "multichannel-pair", func(rng *rand.Rand, scr *Scratch) (any, error) {
 		return MultiChannelPairTrialScratch(mc, 400000, rng, scr)
 	})
 	assertNoLeak(t, "multichannel-group", func(rng *rand.Rand, scr *Scratch) (any, error) {
-		return MultiChannelGroupTrialScratch(mc, 4, Config{Horizon: 400000, Collisions: true, HalfDuplex: true}, rng, scr)
+		res, err := MultiChannelGroupTrialScratch(mc, 4, Config{Horizon: 400000, Collisions: true, HalfDuplex: true}, rng, scr)
+		return ownGroup(res), err
 	})
 	assertNoLeak(t, "multichannel-churn", func(rng *rand.Rand, scr *Scratch) (any, error) {
-		return MultiChannelChurnTrialScratch(mc, 4, 150000, Config{Horizon: 400000, Collisions: true, HalfDuplex: true}, rng, scr)
+		res, err := MultiChannelChurnTrialScratch(mc, 4, 150000, Config{Horizon: 400000, Collisions: true, HalfDuplex: true}, rng, scr)
+		return ChurnTrialResult{ownGroup(res.GroupTrialResult), append([]Contact(nil), res.Contacts...)}, err
 	})
 
 	d1, err := slots.Disco(5, 7)
@@ -134,4 +147,26 @@ func TestScratchReuseLeaksNothingAcrossKinds(t *testing.T) {
 		at, ok, err := grid.TrialScratch(500000, rng, scr)
 		return pairOutcome{at, ok}, err
 	})
+}
+
+// TestScratchFootprint: Footprint, which the engine bounds its pooled
+// arenas by, reads zero on a fresh arena and, after a crowd, covers what
+// the crowd grew, its devices² first-reception table and more.
+func TestScratchFootprint(t *testing.T) {
+	scr := NewScratch()
+	if got := scr.Footprint(); got != 0 {
+		t.Fatalf("fresh arena holds %d bytes, want 0", got)
+	}
+	u, err := optimal.NewUnidirectional(2, 25, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := schedule.Device{B: u.Sender, C: u.Listener}
+	const n = 100
+	if _, err := GroupTrialScratch(dev, n, Config{Horizon: 50000, Collisions: true}, scr.Rand(1), scr); err != nil {
+		t.Fatal(err)
+	}
+	if got, table := scr.Footprint(), n*n*int(unsafe.Sizeof(firstCell{})); got <= table {
+		t.Errorf("arena holds %d bytes after a %d-device crowd, want more than its %d-byte reception table", got, n, table)
+	}
 }

@@ -18,9 +18,13 @@
 // MultiChannel…TrialScratch trials and SlotGridPair.TrialScratch); each
 // takes the caller's per-trial rng, so the engine can derive one stream
 // per trial — the root of its bit-identical-across-workers contract — and
-// a caller-owned Scratch arena. A trial draws its phases and arrivals from
-// that rng, then one seed for the kernel's jitter stream. Time is integer
-// ticks. Every run is deterministic given its seed.
+// a caller-owned Scratch arena. A trial draws its arrivals and phases from
+// that rng and places its devices straight onto the arena's WorldNodes;
+// the single-channel pair and the crowds then draw one seed for the
+// kernel's jitter stream. The four crowd kinds share one group builder
+// and one pair judge, and the two escalating pair kinds one runner
+// (trial.go). Every output lives in the arena until its next trial. Time
+// is integer ticks. Every run is deterministic given its seed.
 package sim
 
 import (
@@ -29,24 +33,6 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/timebase"
 )
-
-// Node is one simulated device: a schedule plus a phase shift that places
-// the schedule's origin at absolute time Phase. Arrive and Depart bound the
-// node's presence: it transmits and receives only within [Arrive, Depart).
-// The zero values mean "present from the start" and "never departs".
-type Node struct {
-	Device schedule.Device
-	Phase  timebase.Ticks
-	Arrive timebase.Ticks
-	Depart timebase.Ticks // 0 = stays for the whole horizon
-}
-
-func (n Node) departOr(horizon timebase.Ticks) timebase.Ticks {
-	if n.Depart <= 0 {
-		return horizon
-	}
-	return n.Depart
-}
 
 // Config controls channel and radio semantics.
 type Config struct {
@@ -129,27 +115,21 @@ func (s Stats) FailureRate() float64 {
 	return float64(s.Misses) / float64(s.N)
 }
 
-func maxTicks(a, b timebase.Ticks) timebase.Ticks {
-	if a > b {
-		return a
+// phaseSpan is the range a single-channel device's phase is drawn over:
+// its beacon period, or its window period when that is longer or the only
+// one.
+func phaseSpan(d schedule.Device) timebase.Ticks {
+	if d.B.Period == 0 || d.C.Period > d.B.Period {
+		return d.C.Period
 	}
-	return b
+	return d.B.Period
 }
 
-func minTicks(a, b timebase.Ticks) timebase.Ticks {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func randPhase(rng *rand.Rand, d schedule.Device) timebase.Ticks {
-	period := d.B.Period
-	if period == 0 || (d.C.Period > 0 && d.C.Period > period) {
-		period = d.C.Period
-	}
-	if period <= 0 {
+// randPhase draws a phase uniform over [0, span), or returns 0 without a
+// draw when span ≤ 0.
+func randPhase(rng *rand.Rand, span timebase.Ticks) timebase.Ticks {
+	if span <= 0 {
 		return 0
 	}
-	return timebase.Ticks(rng.Int63n(int64(period)))
+	return timebase.Ticks(rng.Int63n(int64(span)))
 }

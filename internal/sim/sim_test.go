@@ -15,11 +15,26 @@ import (
 func senderOnly(b schedule.BeaconSeq) schedule.Device { return schedule.Device{B: b} }
 func listenOnly(c schedule.WindowSeq) schedule.Device { return schedule.Device{C: c} }
 
-// runNodes runs single-channel nodes through the kernel on a fresh arena,
-// with jitter drawn from rng (nil without jitter).
-func runNodes(nodes []Node, cfg Config, rng *rand.Rand) (WorldResult, error) {
-	scr := NewScratch()
-	return RunWorldScratch(worldFromNodes(nodes, scr), cfg, rng, scr)
+// device is a single-channel node: d's beacons and windows on channel 0,
+// both shifted by phase.
+func device(d schedule.Device, phase timebase.Ticks) WorldNode {
+	return WorldNode{
+		Emits:   []Emission{{B: d.B, Phase: phase}},
+		Listens: []Listening{{C: d.C, Phase: phase}},
+	}
+}
+
+// present bounds node n's presence to [arrive, depart); 0 keeps the
+// default (from the start, to the horizon).
+func present(n WorldNode, arrive, depart timebase.Ticks) WorldNode {
+	n.Arrive, n.Depart = arrive, depart
+	return n
+}
+
+// runNodes runs nodes through the kernel on a fresh arena, with jitter
+// drawn from rng (nil without jitter).
+func runNodes(nodes []WorldNode, cfg Config, rng *rand.Rand) (WorldResult, error) {
+	return RunWorldScratch(nodes, cfg, rng, NewScratch())
 }
 
 // firstEnd returns when receiver first heard sender: the completion time
@@ -31,7 +46,7 @@ func firstEnd(res WorldResult, receiver, sender int) (timebase.Ticks, bool) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	u, _ := optimal.NewUnidirectional(2, 10, 4, 1)
-	nodes := []Node{{Device: senderOnly(u.Sender)}, {Device: listenOnly(u.Listener)}}
+	nodes := []WorldNode{device(senderOnly(u.Sender), 0), device(listenOnly(u.Listener), 0)}
 	if _, err := runNodes(nodes, Config{Horizon: 0}, nil); err == nil {
 		t.Error("zero horizon accepted")
 	}
@@ -46,9 +61,9 @@ func TestRunBasicDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := []Node{
-		{Device: senderOnly(u.Sender), Phase: 0},
-		{Device: listenOnly(u.Listener), Phase: 0},
+	nodes := []WorldNode{
+		device(senderOnly(u.Sender), 0),
+		device(listenOnly(u.Listener), 0),
 	}
 	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
@@ -71,9 +86,9 @@ func TestRunBasicDiscovery(t *testing.T) {
 
 func TestRunRespectsPhases(t *testing.T) {
 	u, _ := optimal.NewUnidirectional(2, 10, 4, 1)
-	nodes := []Node{
-		{Device: senderOnly(u.Sender), Phase: 5},
-		{Device: listenOnly(u.Listener), Phase: 0},
+	nodes := []WorldNode{
+		device(senderOnly(u.Sender), 5),
+		device(listenOnly(u.Listener), 0),
 	}
 	res, err := runNodes(nodes, Config{Horizon: 1000}, nil)
 	if err != nil {
@@ -133,10 +148,10 @@ func TestCollisionsDestroyOverlappingPackets(t *testing.T) {
 	// Two senders phase-locked to transmit simultaneously, one listener.
 	b, _ := schedule.NewEqualGapBeacons(1, 100, 10, 0)
 	c, _ := schedule.NewWindowsAt([]schedule.Window{{Start: 0, Len: 100}}, 100)
-	nodes := []Node{
-		{Device: senderOnly(b), Phase: 0},
-		{Device: senderOnly(b), Phase: 5}, // overlaps [5,15) vs [0,10)
-		{Device: listenOnly(c), Phase: 0},
+	nodes := []WorldNode{
+		device(senderOnly(b), 0),
+		device(senderOnly(b), 5), // overlaps [5,15) vs [0,10)
+		device(listenOnly(c), 0),
 	}
 	res, err := runNodes(nodes, Config{Horizon: 1000, Collisions: true}, nil)
 	if err != nil {
@@ -161,11 +176,11 @@ func TestCollisionChainMarking(t *testing.T) {
 	long, _ := schedule.NewBeaconsAt([]timebase.Ticks{0}, 50, 1000)
 	s1, _ := schedule.NewBeaconsAt([]timebase.Ticks{10}, 5, 1000)
 	s2, _ := schedule.NewBeaconsAt([]timebase.Ticks{30}, 5, 1000)
-	nodes := []Node{
-		{Device: senderOnly(long)},
-		{Device: senderOnly(s1)},
-		{Device: senderOnly(s2)},
-		{Device: listenOnly(schedule.WindowSeq{Windows: []schedule.Window{{Start: 0, Len: 1000}}, Period: 1000})},
+	nodes := []WorldNode{
+		device(senderOnly(long), 0),
+		device(senderOnly(s1), 0),
+		device(senderOnly(s2), 0),
+		device(listenOnly(schedule.WindowSeq{Windows: []schedule.Window{{Start: 0, Len: 1000}}, Period: 1000}), 0),
 	}
 	res, err := runNodes(nodes, Config{Horizon: 1000, Collisions: true}, nil)
 	if err != nil {
@@ -181,9 +196,9 @@ func TestHalfDuplexBlocksOwnReception(t *testing.T) {
 	sender, _ := schedule.NewBeaconsAt([]timebase.Ticks{50}, 10, 1000)
 	rxB, _ := schedule.NewBeaconsAt([]timebase.Ticks{48}, 20, 1000)
 	rxC, _ := schedule.NewWindowsAt([]schedule.Window{{Start: 0, Len: 1000}}, 1000)
-	nodes := []Node{
-		{Device: senderOnly(sender)},
-		{Device: schedule.Device{B: rxB, C: rxC}},
+	nodes := []WorldNode{
+		device(senderOnly(sender), 0),
+		device(schedule.Device{B: rxB, C: rxC}, 0),
 	}
 	res, err := runNodes(nodes, Config{Horizon: 1000, HalfDuplex: true}, nil)
 	if err != nil {
@@ -202,9 +217,9 @@ func TestTruncatedWindowsSemantics(t *testing.T) {
 	// Beacon starts 5 ticks before window end but needs 10 ticks of air.
 	sender, _ := schedule.NewBeaconsAt([]timebase.Ticks{95}, 10, 1000)
 	c, _ := schedule.NewWindowsAt([]schedule.Window{{Start: 0, Len: 100}}, 1000)
-	nodes := []Node{
-		{Device: senderOnly(sender)},
-		{Device: listenOnly(c)},
+	nodes := []WorldNode{
+		device(senderOnly(sender), 0),
+		device(listenOnly(c), 0),
 	}
 	res, _ := runNodes(nodes, Config{Horizon: 1000, TruncatedWindows: true}, nil)
 	if _, ok := firstEnd(res, 1, 0); ok {
@@ -262,10 +277,10 @@ func TestJitterDecorrelatesPhaseLockedCollisions(t *testing.T) {
 	b, _ := schedule.NewEqualGapBeacons(1, 5000, omega, 0)
 	listener := schedule.Device{C: schedule.WindowSeq{
 		Windows: []schedule.Window{{Start: 0, Len: 5000}}, Period: 5000}}
-	nodes := []Node{
-		{Device: senderOnly(b), Phase: 0},
-		{Device: senderOnly(b), Phase: 10}, // overlaps: |10| < ω
-		{Device: listener, Phase: 0},
+	nodes := []WorldNode{
+		device(senderOnly(b), 0),
+		device(senderOnly(b), 10), // overlaps: |10| < ω
+		device(listener, 0),
 	}
 	noJitter, err := runNodes(nodes, Config{Horizon: 200000, Collisions: true}, nil)
 	if err != nil {
@@ -310,9 +325,9 @@ func TestCollectStats(t *testing.T) {
 func TestRunDeterministicForSeed(t *testing.T) {
 	u, _ := optimal.NewUnidirectional(2, 10, 4, 1)
 	cfg := Config{Horizon: 100000, Collisions: true, Jitter: 50}
-	nodes := []Node{
-		{Device: senderOnly(u.Sender), Phase: 3},
-		{Device: listenOnly(u.Listener), Phase: 17},
+	nodes := []WorldNode{
+		device(senderOnly(u.Sender), 3),
+		device(listenOnly(u.Listener), 17),
 	}
 	a, err := runNodes(nodes, cfg, rand.New(rand.NewSource(99)))
 	if err != nil {

@@ -275,52 +275,14 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 	for i := range nodes {
 		n := &nodes[i]
 		depart := n.departOr(cfg.Horizon)
-		for _, em := range n.Emits {
+		for j := range n.Emits {
+			em := &n.Emits[j]
 			if em.B.Empty() || em.B.Period <= 0 {
 				continue
 			}
-			// Enumerate the emission's beacon occurrences inline (the same
-			// cycle walk as schedule.AppendBeaconsWithin) straight into the
-			// transmission buffer — no intermediate beacon materialization.
-			bs := em.B.Beacons
-			from, to := -em.Phase-em.B.Period, cfg.Horizon-em.Phase
-			if to <= from {
-				continue
-			}
 			runLo := len(txs)
-			sorted := true
-			firstCycle := floorDiv(from-bs[len(bs)-1].Time, em.B.Period) - 1
-			for cycle := firstCycle; ; cycle++ {
-				cb := cycle * em.B.Period
-				if cb > to {
-					break
-				}
-				for _, bc := range bs {
-					t := cb + bc.Time
-					if t < from {
-						continue
-					}
-					if t >= to {
-						break
-					}
-					start := t + em.Phase
-					if cfg.Jitter > 0 {
-						start += timebase.Ticks(rng.Int63n(int64(cfg.Jitter) + 1))
-					}
-					end := start + bc.Len
-					if end <= 0 || start >= cfg.Horizon {
-						continue
-					}
-					// A node only transmits while present.
-					if start < n.Arrive || end > depart {
-						continue
-					}
-					if len(txs) > runLo && start < txs[len(txs)-1].start {
-						sorted = false
-					}
-					txs = append(txs, transmission{start: start, end: end, channel: int32(em.Channel)})
-				}
-			}
+			var sorted bool
+			txs, sorted = appendRun(txs, em, cfg.Horizon, cfg.Jitter, n.Arrive, depart, rng)
 			if len(txs) == runLo {
 				continue
 			}
@@ -445,6 +407,60 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 		}
 	}
 	return res, nil
+}
+
+// appendRun appends emission em's transmissions to txs — every beacon
+// occurrence from one period before t = 0 on, shifted by the phase and
+// delayed by jitter drawn from rng, that ends after t = 0, starts before
+// the horizon and lies within its node's presence [arrive, depart) — and
+// reports whether they came out in start order. The occurrences are
+// enumerated inline (the same cycle walk as schedule.AppendBeaconsWithin)
+// straight into the transmission buffer. This is the kernel's hottest
+// loop. In its own function it measured at least as fast as the inline
+// loop at both code alignments tried; inline, the same loop ran 11–23%
+// slower when the linker put RunWorldScratch on a 64-byte boundary than
+// at 32 mod 64.
+func appendRun(txs []transmission, em *Emission, horizon, jitter, arrive, depart timebase.Ticks, rng *rand.Rand) ([]transmission, bool) {
+	bs := em.B.Beacons
+	from, to := -em.Phase-em.B.Period, horizon-em.Phase
+	runLo := len(txs)
+	sorted := true
+	if to <= from {
+		return txs, sorted
+	}
+	firstCycle := floorDiv(from-bs[len(bs)-1].Time, em.B.Period) - 1
+	for cycle := firstCycle; ; cycle++ {
+		cb := cycle * em.B.Period
+		if cb > to {
+			break
+		}
+		for _, bc := range bs {
+			t := cb + bc.Time
+			if t < from {
+				continue
+			}
+			if t >= to {
+				break
+			}
+			start := t + em.Phase
+			if jitter > 0 {
+				start += timebase.Ticks(rng.Int63n(int64(jitter) + 1))
+			}
+			end := start + bc.Len
+			if end <= 0 || start >= horizon {
+				continue
+			}
+			// A node only transmits while present.
+			if start < arrive || end > depart {
+				continue
+			}
+			if len(txs) > runLo && start < txs[len(txs)-1].start {
+				sorted = false
+			}
+			txs = append(txs, transmission{start: start, end: end, channel: int32(em.Channel)})
+		}
+	}
+	return txs, sorted
 }
 
 // markCollisions marks every packet whose airtime overlaps another

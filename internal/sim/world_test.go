@@ -396,6 +396,7 @@ func TestRunWorldMultiChannelGroupMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	circle := timebase.Ticks(mc.Channels) * mc.Ts
+	bs, ws := NewScratch().mcTemplates(mc)
 	rng := rand.New(rand.NewSource(7))
 	horizon := timebase.Ticks(20000)
 	for trial := 0; trial < 50; trial++ {
@@ -404,9 +405,9 @@ func TestRunWorldMultiChannelGroupMatchesBruteForce(t *testing.T) {
 		for i := range nodes {
 			u := timebase.Ticks(rng.Int63n(int64(mc.Ta)))
 			x := timebase.Ticks(rng.Int63n(int64(circle)))
-			nodes[i] = WorldNode{
-				Emits:   advertiserEmissions(mc, -u),
-				Listens: scannerListens(mc, -x),
+			for c := range bs {
+				nodes[i].Emits = append(nodes[i].Emits, Emission{Channel: c, B: bs[c], Phase: -u})
+				nodes[i].Listens = append(nodes[i].Listens, Listening{Channel: c, C: ws[c], Phase: -x})
 			}
 			if trial%2 == 1 {
 				nodes[i].Arrive = timebase.Ticks(rng.Int63n(int64(horizon / 2)))
@@ -537,7 +538,7 @@ func TestMultiChannelChurnTrialContacts(t *testing.T) {
 func TestMultiChannelGroupTrialDeterministic(t *testing.T) {
 	mc := multichannel.Config{Ta: 700, Omega: 40, IFS: 10, Ts: 900, Ds: 300, Channels: 3}
 	cfg := Config{Horizon: 30000, Collisions: true}
-	run := func(seed int64) MultiChannelGroupResult {
+	run := func(seed int64) GroupTrialResult {
 		res, err := MultiChannelGroupTrialScratch(mc, 4, cfg, rand.New(NewFastSource(seed)), NewScratch())
 		if err != nil {
 			t.Fatal(err)
