@@ -148,7 +148,7 @@ func checkDevicePair(t *testing.T, scr *Scratch, b schedule.BeaconSeq, c schedul
 	var got phaseStats
 	for pe := timebase.Ticks(0); pe < b.Period; pe++ {
 		for pf := timebase.Ticks(0); pf < c.Period; pf++ {
-			at, ok, err := scr.pairAt(e, f, pe, pf, cfg, nil)
+			at, ok, err := scr.pairAt(e, f, pe, pf, cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,9 +109,9 @@ func BenchmarkPairTrialFreshArena(b *testing.B) {
 
 // The preset benches below rebuild the engine's preset designs from their
 // parts (the engine imports sim, so sim's tests cannot ask it): the
-// optimal symmetric pair at ω = 36 µs, and the BLE fast operating point
-// over 3 advertising channels at ω = 128 µs. Each comes with the exact
-// worst case the engine scales horizons and stays by.
+// optimal symmetric pair at ω = 36 µs, and the BLE fast operating point on
+// one channel and over 3 advertising channels at ω = 128 µs. Each comes
+// with the exact worst case the engine scales horizons and stays by.
 
 func optimalPreset(tb testing.TB, eta float64) (optimal.Pair, timebase.Ticks) {
 	tb.Helper()
@@ -200,9 +200,46 @@ func crowdCases(tb testing.TB) []trialCase {
 	}
 }
 
+// bleFastPreset is the engine's ble-fast pair: the BLE fast advertiser
+// against its scanner at ω = 128 µs, with 10 ms of advDelay jitter over
+// three times its worst case.
+func bleFastPreset(tb testing.TB) (sender, listener schedule.Device, cfg Config) {
+	tb.Helper()
+	fast := protocols.BLEFastAdv
+	fast.Omega = 128 * timebase.Microsecond
+	dev, err := fast.Device()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ana, err := coverage.Analyze(dev.B, dev.C, coverage.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg = Config{Horizon: 3 * ana.WorstLatency, Jitter: 10 * timebase.Millisecond}
+	return schedule.Device{B: dev.B}, schedule.Device{C: dev.C}, cfg
+}
+
+// discoOneWay is a one-way Disco(37, 43) pair in continuous time: 4 ms
+// slots, 36 µs packets, over three schedule periods. A few phase pairs
+// never meet, and each such miss runs every doubling up to the horizon.
+func discoOneWay(tb testing.TB) (sender, listener schedule.Device, cfg Config) {
+	tb.Helper()
+	disco, err := protocols.NewDisco(37, 43, 4*timebase.Millisecond, 36*timebase.Microsecond)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dev, err := disco.Device()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return schedule.Device{B: dev.B}, schedule.Device{C: dev.C}, Config{Horizon: 3 * dev.B.Period}
+}
+
 // presetPairCases are the pair presets' trials: quickstart's optimal pair
 // at η = 2 % on its quiet channel and with collisions on (which no preset
-// sets, but which runs the collision pass on a lone emitter), and
+// sets, but which runs the collision pass on a lone emitter), ble-fast's
+// jittered single-channel pair, whose every round replays the jitter
+// stream, a one-way Disco pair, whose misses pay for the doubling, and
 // ble3-fast's advertiser against a channel-cycling scanner.
 func presetPairCases(tb testing.TB) []trialCase {
 	quick, quickWorst := optimalPreset(tb, 0.02)
@@ -210,6 +247,8 @@ func presetPairCases(tb testing.TB) []trialCase {
 	quiet := Config{Horizon: 3 * quickWorst}
 	collisions := quiet
 	collisions.Collisions = true
+	bleSender, bleListener, bleCfg := bleFastPreset(tb)
+	discoSender, discoListener, discoCfg := discoOneWay(tb)
 	mc, mcWorst := ble3FastPreset(tb)
 	return []trialCase{
 		{"quickstart", func(rng *rand.Rand, scr *Scratch) error {
@@ -218,6 +257,14 @@ func presetPairCases(tb testing.TB) []trialCase {
 		}},
 		{"quickstart-collisions", func(rng *rand.Rand, scr *Scratch) error {
 			_, _, err := PairTrialScratch(sender, listener, collisions, rng, scr)
+			return err
+		}},
+		{"ble-fast", func(rng *rand.Rand, scr *Scratch) error {
+			_, _, err := PairTrialScratch(bleSender, bleListener, bleCfg, rng, scr)
+			return err
+		}},
+		{"disco-oneway", func(rng *rand.Rand, scr *Scratch) error {
+			_, _, err := PairTrialScratch(discoSender, discoListener, discoCfg, rng, scr)
 			return err
 		}},
 		{"ble3-fast", func(rng *rand.Rand, scr *Scratch) error {

@@ -109,6 +109,6 @@ func (p *SlotGridPair) trialAt(u, v, horizon timebase.Ticks, scr *Scratch) (time
 	nodes := scr.worldNodes(2, 1)
 	nodes[0] = scr.place(0, p.beacons, schedule.WindowSeq{}, -u*p.slotLen)
 	nodes[1] = scr.place(1, schedule.BeaconSeq{}, p.windows, -v*p.slotLen)
-	rec, ok, err := scr.escalate(nodes, timebase.Ticks(max(p.pa, p.pb))*p.slotLen, limit, 0)
+	rec, ok, err := scr.escalate(nodes, Config{Horizon: limit}, 0, timebase.Ticks(max(p.pa, p.pb))*p.slotLen, 0, 0)
 	return rec.End, ok, err
 }

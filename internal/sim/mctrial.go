@@ -94,7 +94,7 @@ func (s *Scratch) mcPairAt(cfg multichannel.Config, u, x, horizon timebase.Ticks
 		ls[c] = Listening{Channel: c, C: ws[c], Phase: -x}
 	}
 	nodes[0], nodes[1] = WorldNode{Emits: em}, WorldNode{Listens: ls}
-	rec, ok, err := s.escalate(nodes, max(cfg.Ta, timebase.Ticks(cfg.Channels)*cfg.Ts), horizon, cfg.Omega)
+	rec, ok, err := s.escalate(nodes, Config{Horizon: horizon}, 0, max(cfg.Ta, timebase.Ticks(cfg.Channels)*cfg.Ts), 0, cfg.Omega)
 	if !ok {
 		return MultiChannelOutcome{}, err
 	}

@@ -22,9 +22,10 @@
 // that rng and places its devices straight onto the arena's WorldNodes;
 // the single-channel pair and the crowds then draw one seed for the
 // kernel's jitter stream. The four crowd kinds share one group builder
-// and one pair judge, and the two escalating pair kinds one runner
-// (trial.go). Every output lives in the arena until its next trial. Time
-// is integer ticks. Every run is deterministic given its seed.
+// and one pair judge, and the three pair kinds one escalation runner,
+// which stops at the first reception (trial.go). Every output lives in
+// the arena until its next trial. Time is integer ticks. Every run is
+// deterministic given its seed.
 package sim
 
 import (

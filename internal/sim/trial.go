@@ -16,31 +16,40 @@ import (
 // can shard trials across goroutines and still obtain results
 // bit-identical to a serial loop. The four crowd kinds (single- and
 // multi-channel, static and churning) share one group builder and one
-// pair judge; the two escalating pair kinds share one runner. Every output
-// lives in the caller-owned arena until its next trial: the engine's
-// workers hold one each, and a one-off caller passes NewScratch().
+// pair judge; the three pair kinds share one escalation runner. Every
+// output lives in the caller-owned arena until its next trial: the
+// engine's workers hold one each, and a one-off caller passes
+// NewScratch().
 
 // PairTrialScratch runs one trial of receiver f hearing sender e: both
 // devices get independent uniform random phases drawn from rng. It returns
 // the first reception's end (discovery completes when the packet does) and
-// whether discovery happened within the horizon.
+// whether discovery happened within the horizon. The trial runs on the
+// escalation runner, starting at one schedule cycle, the longer of e's
+// beacon period and f's window period, so it stops soon after the first
+// reception instead of generating every beacon up to the horizon.
 func PairTrialScratch(e, f schedule.Device, cfg Config, rng *rand.Rand, scr *Scratch) (timebase.Ticks, bool, error) {
 	pe, pf := randPhase(rng, phaseSpan(e)), randPhase(rng, phaseSpan(f))
-	return scr.pairAt(e, f, pe, pf, cfg, scr.jitterRand(rng.Int63()))
+	return scr.pairAt(e, f, pe, pf, cfg, rng.Int63())
 }
 
 // pairAt runs the single-channel pair with e's schedules shifted by pe
-// and f's by pf, jitter drawn from rng.
-func (s *Scratch) pairAt(e, f schedule.Device, pe, pf timebase.Ticks, cfg Config, rng *rand.Rand) (timebase.Ticks, bool, error) {
+// and f's by pf, jitter drawn from a stream seeded with seed. Its margin
+// is the longest beacon either node sends. A receiver that transmits
+// itself, with both jitter and collisions on, runs the full horizon at
+// once: its jitter draws follow the sender's, so they would shift with the
+// cut, and its packets can collide with the reception.
+func (s *Scratch) pairAt(e, f schedule.Device, pe, pf timebase.Ticks, cfg Config, seed int64) (timebase.Ticks, bool, error) {
 	nodes := s.worldNodes(2, 1)
 	nodes[0] = s.place(0, e.B, e.C, pe)
 	nodes[1] = s.place(1, f.B, f.C, pf)
-	wr, err := RunWorldScratch(nodes, cfg, rng, s)
-	if err != nil {
-		return 0, false, err
+	start := max(e.B.Period, f.C.Period)
+	if cfg.Jitter > 0 && cfg.Collisions && !f.B.Empty() {
+		start = cfg.Horizon
 	}
-	rec, ok := wr.FirstReception(1, 0)
-	return rec.End, ok, nil
+	margin := max(longestBeacon(e.B), longestBeacon(f.B))
+	rec, ok, err := s.escalate(nodes, cfg, seed, start, margin, 0)
+	return rec.End, ok, err
 }
 
 // place puts a single-channel device on arena node i: beacons b and
@@ -240,27 +249,43 @@ func (s *Scratch) judge(k *crowd, nodes []WorldNode, wr WorldResult, horizon tim
 	return *out
 }
 
-// escalate runs a quiet two-node world of equal-length packets — node 0
-// sending, node 1 receiving — over horizon start, doubling it after each
-// miss up to limit, and returns the receiver's first reception. Both nodes
-// depart tail ticks after each run's horizon. Discovery typically lands
-// within a cycle or two, so trials that discover cost O(discovery delay),
-// not O(limit), and the doubling bounds a missing trial at ~2× one full
-// run. A reception found in a truncated run IS the overall first: with
-// equal lengths and no cross-packet effects, an earlier one would start
-// and end earlier still and be present in the same run.
-func (s *Scratch) escalate(nodes []WorldNode, start, limit, tail timebase.Ticks) (Reception, bool, error) {
-	for h := min(start, limit); ; h = min(2*h, limit) {
+// escalate runs a two-node world under cfg — node 0 sending, node 1
+// receiving — over horizon start, doubling it after each miss up to
+// cfg.Horizon, and returns the receiver's first reception. Both nodes
+// depart tail ticks after each run's horizon; that departure is the run's
+// cut. A jittered run draws from a stream seeded with seed, replayed from
+// its start in every round. A start of 0 or less runs the full horizon at
+// once. Discovery typically lands within a cycle or two, so trials that
+// discover cost O(discovery delay), not O(horizon), and the doubling
+// bounds a missing trial at ~2× one full run.
+//
+// A truncated run's reception counts only if it ends at least margin
+// before the cut; the full run's counts as it is. Such a reception IS the
+// full run's first when margin is at least the longest packet either node
+// sends and the receiver's packets, if it sends any, do not shift with the
+// cut. The truncated run holds exactly the full run's packets that end by
+// the cut, since the sender draws its jitter first and replays the same
+// draws. A packet dropped at the cut starts after the reception ends, so
+// it cannot collide with it, and it cannot precede it either: a packet
+// earlier than the reception starts no later and ends at most one margin
+// after its start, so before the cut. Quiet equal-length packets need no
+// margin, since a packet earlier than the reception ends no later.
+func (s *Scratch) escalate(nodes []WorldNode, cfg Config, seed int64, start, margin, tail timebase.Ticks) (Reception, bool, error) {
+	limit := cfg.Horizon
+	h := limit
+	if start > 0 {
+		h = min(start, limit)
+	}
+	for ; ; h += min(h, limit-h) {
 		nodes[0].Depart, nodes[1].Depart = h+tail, h+tail
-		wr, err := RunWorldScratch(nodes, Config{Horizon: h}, nil, s)
+		cfg.Horizon = h
+		wr, err := RunWorldScratch(nodes, cfg, s.jitterRand(seed), s)
 		if err != nil {
 			return Reception{}, false, err
 		}
-		if rec, ok := wr.FirstReception(1, 0); ok {
-			return rec, true, nil
-		}
-		if h == limit {
-			return Reception{}, false, nil
+		rec, ok := wr.FirstReception(1, 0)
+		if h == limit || ok && rec.End+margin <= h+tail {
+			return rec, ok, nil
 		}
 	}
 }

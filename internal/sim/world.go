@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -134,6 +135,18 @@ type Reception struct {
 	Channel    int
 }
 
+// before reports whether r is earlier than o in FirstReception's order:
+// by start, then channel, then end.
+func (r Reception) before(o Reception) bool {
+	if r.Start != o.Start {
+		return r.Start < o.Start
+	}
+	if r.Channel != o.Channel {
+		return r.Channel < o.Channel
+	}
+	return r.End < o.End
+}
+
 // ChannelLoad is one channel's traffic accounting.
 type ChannelLoad struct {
 	Transmissions, Collided int
@@ -159,10 +172,11 @@ type firstCell struct {
 	found bool
 }
 
-// FirstReception returns receiver's earliest reception of sender (earliest
-// packet start; ties broken by channel), and false when receiver heard
-// nothing from sender within the horizon. Both are node indices of the
-// run.
+// FirstReception returns receiver's earliest reception of sender, and
+// false when receiver heard nothing from sender within the horizon. Both
+// are node indices of the run. Earliest means the least start, ties broken
+// by the lower channel, then by the earlier end: of equal-start packets on
+// one channel, the shortest counts, whatever order they were generated in.
 func (r WorldResult) FirstReception(receiver, sender int) (Reception, bool) {
 	c := r.receptions[receiver*r.nodes+sender]
 	return c.rec, c.found
@@ -200,18 +214,24 @@ type txRun struct {
 	channel int
 }
 
-// txCmp orders transmissions by start; equal starts compare equal (the
-// kernel's results are invariant under equal-start permutations — see the
-// collision-pass and first-reception tie-break notes below).
+// txCmp orders transmissions by start, then end: the order the reception
+// walk scans a run in, so of equal-start packets the shortest comes first.
+// Packets equal in both are interchangeable, since a run's packets share
+// their channel and any two that overlap collide alike.
 func txCmp(a, b transmission) int {
-	switch {
-	case a.start < b.start:
-		return -1
-	case a.start > b.start:
-		return 1
-	default:
-		return 0
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
 	}
+	return cmp.Compare(a.end, b.end)
+}
+
+// longestBeacon returns the longest airtime among b's beacons, 0 for none.
+func longestBeacon(b schedule.BeaconSeq) timebase.Ticks {
+	var mx timebase.Ticks
+	for _, bc := range b.Beacons {
+		mx = max(mx, bc.Len)
+	}
+	return mx
 }
 
 // RunWorldScratch simulates the node set under cfg: it materializes every
@@ -249,25 +269,17 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 		scr.emMax = grow(scr.emMax, total)
 		for i := range nodes {
 			for j := range nodes[i].Emits {
-				var mx timebase.Ticks
-				for _, bc := range nodes[i].Emits[j].B.Beacons {
-					if bc.Len > mx {
-						mx = bc.Len
-					}
-				}
-				scr.emMax[scr.emBase[i]+j] = mx
+				scr.emMax[scr.emBase[i]+j] = longestBeacon(nodes[i].Emits[j].B)
 			}
 		}
 	}
 
 	// Generate all transmissions in (node, emission, beacon) order — jitter
 	// is drawn in exactly this order, which freezes the RNG stream — keeping
-	// one run (contiguous segment of txs) per non-empty emission.
-	// BeaconsWithin extends one period into the past so beacons that started
-	// before t = 0 can still overlap into the horizon. Each run is sorted by
-	// construction unless jitter exceeds a beacon gap; generation detects
-	// that and sorts only the disordered runs, so the common case skips
-	// sorting entirely.
+	// one run (contiguous segment of txs) per non-empty emission. Each run
+	// comes out in (start, end) order unless jitter exceeds a beacon gap or
+	// reorders equal starts; generation detects that and sorts only the
+	// disordered runs, so the common case skips sorting entirely.
 	txs := scr.txs[:0]
 	runs := scr.runs[:0]
 	scr.nodeRuns = grow(scr.nodeRuns, len(nodes)+1)
@@ -314,15 +326,14 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 
 	// Reception, walked per (receiver, listening, sender run) instead of
 	// per window over a merged channel timeline: each run is scanned in
-	// start order and stops at its first accepted packet. That first accept
-	// IS the run's best candidate — later packets start no earlier, and an
-	// equal-start packet from the same run is on the same channel, losing
-	// the strict (Start, Channel) tie-break — so per (receiver, sender) the
-	// combination over listens (in declaration order) and runs (in ordinal
-	// order) under strict improvement reproduces exactly what the old
-	// time-ordered window walk inserted. Discovery typically lands within a
-	// few beacon gaps, so each pair costs a handful of window-membership
-	// tests rather than a walk over every window in the horizon.
+	// (start, end) order and stops at its first accepted packet. That first
+	// accept IS the run's least (Start, Channel, End) candidate, since the
+	// run's packets share one channel, so keeping the least candidate over
+	// all listens and runs yields FirstReception's earliest reception,
+	// independent of the order they are walked in. Discovery typically lands
+	// within a few beacon gaps, so each pair costs a handful of
+	// window-membership tests rather than a walk over every window in the
+	// horizon.
 	//
 	// Window membership is tested in O(log windows) by reducing the packet
 	// start into the schedule's period. Windows that started before t = 0
@@ -396,8 +407,7 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 						}
 						rec := Reception{Start: tx.start, End: tx.end, Channel: int(tx.channel)}
 						c := &res.receptions[r*len(nodes)+s]
-						if !c.found || rec.Start < c.rec.Start ||
-							(rec.Start == c.rec.Start && rec.Channel < c.rec.Channel) {
+						if !c.found || rec.before(c.rec) {
 							*c = firstCell{rec: rec, found: true}
 						}
 						break
@@ -413,7 +423,12 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 // occurrence from one period before t = 0 on, shifted by the phase and
 // delayed by jitter drawn from rng, that ends after t = 0, starts before
 // the horizon and lies within its node's presence [arrive, depart) — and
-// reports whether they came out in start order. The occurrences are
+// reports whether they came out in (start, end) order. A jitter-free
+// emission starts at its first live beacon, the first occurrence at or
+// after max(one period back, arrive − phase), found with beaconAt: any
+// earlier one would start before its node arrives. A jittered emission
+// starts one period back, since every occurrence from there on draws its
+// delay, live or not, and the draws fix the stream. The occurrences are
 // enumerated inline (the same cycle walk as schedule.AppendBeaconsWithin)
 // straight into the transmission buffer. This is the kernel's hottest
 // loop. In its own function it measured at least as fast as the inline
@@ -421,20 +436,25 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 // slower when the linker put RunWorldScratch on a 64-byte boundary than
 // at 32 mod 64.
 func appendRun(txs []transmission, em *Emission, horizon, jitter, arrive, depart timebase.Ticks, rng *rand.Rand) ([]transmission, bool) {
-	bs := em.B.Beacons
-	from, to := -em.Phase-em.B.Period, horizon-em.Phase
+	bs, period := em.B.Beacons, em.B.Period
+	from, to := -em.Phase-period, horizon-em.Phase
+	if jitter == 0 {
+		from = max(from, arrive-em.Phase)
+	}
 	runLo := len(txs)
 	sorted := true
 	if to <= from {
 		return txs, sorted
 	}
-	firstCycle := floorDiv(from-bs[len(bs)-1].Time, em.B.Period) - 1
-	for cycle := firstCycle; ; cycle++ {
-		cb := cycle * em.B.Period
+	// No beacon of a cycle before this one reaches from.
+	cycle := floorDiv(from-bs[len(bs)-1].Time, period)
+	for i := beaconAt(bs, from-cycle*period); ; cycle, i = cycle+1, 0 {
+		cb := cycle * period
 		if cb > to {
 			break
 		}
-		for _, bc := range bs {
+		for ; i < len(bs); i++ {
+			bc := &bs[i]
 			t := cb + bc.Time
 			if t < from {
 				continue
@@ -454,7 +474,7 @@ func appendRun(txs []transmission, em *Emission, horizon, jitter, arrive, depart
 			if start < arrive || end > depart {
 				continue
 			}
-			if len(txs) > runLo && start < txs[len(txs)-1].start {
+			if n := len(txs); n > runLo && (start < txs[n-1].start || start == txs[n-1].start && end < txs[n-1].end) {
 				sorted = false
 			}
 			txs = append(txs, transmission{start: start, end: end, channel: int32(em.Channel)})

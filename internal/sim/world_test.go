@@ -76,7 +76,8 @@ type bruteResult struct {
 // combination, with no sorting, no binary search, no running maxima, and
 // its own occurrence enumeration and half-duplex check. The kernel must
 // agree with it exactly — transmissions, per-channel loads and every first
-// reception. rng supplies the jitter, as it does to the kernel.
+// reception, the least by (start, channel, end) as FirstReception
+// documents. rng supplies the jitter, as it does to the kernel.
 func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config, rng *rand.Rand) bruteResult {
 	t.Helper()
 	nCh, err := channelCount(nodes)
@@ -182,7 +183,8 @@ func bruteWorld(t *testing.T, nodes []WorldNode, cfg Config, rng *rand.Rand) bru
 					key := [2]int{r, tx.sender}
 					prev, seen := res.First[key]
 					if !seen || rec.Start < prev.Start ||
-						(rec.Start == prev.Start && rec.Channel < prev.Channel) {
+						rec.Start == prev.Start && (rec.Channel < prev.Channel ||
+							rec.Channel == prev.Channel && rec.End < prev.End) {
 						res.First[key] = rec
 					}
 				}
@@ -228,8 +230,10 @@ func compareWorlds(t *testing.T, label string, nodes []WorldNode, cfg Config, ji
 
 // randomWorld builds a small world of nodes with randomized periodic
 // schedules spread over channels, including transmit-only, listen-only and
-// churning nodes.
-func randomWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn bool) []WorldNode {
+// churning nodes. Each emission sends one beacon per period, or with mixed
+// two to four beacons of different lengths a few ticks apart, so jitter
+// makes packets of one run start together.
+func randomWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn, mixed bool) []WorldNode {
 	nodes := make([]WorldNode, nNodes)
 	for i := range nodes {
 		n := WorldNode{}
@@ -239,16 +243,18 @@ func randomWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn 
 		}
 		for c := 0; c < nCh; c++ {
 			if rng.Intn(3) > 0 {
-				period := timebase.Ticks(rng.Intn(400) + 50)
-				length := timebase.Ticks(rng.Intn(20) + 1)
-				at := timebase.Ticks(rng.Intn(int(period - length)))
+				b := schedule.BeaconSeq{Period: timebase.Ticks(rng.Intn(400) + 50)}
+				if mixed {
+					b.Beacons = mixedBeacons(rng, b.Period)
+				} else {
+					length := timebase.Ticks(rng.Intn(20) + 1)
+					at := timebase.Ticks(rng.Intn(int(b.Period - length)))
+					b.Beacons = []schedule.Beacon{{Time: at, Len: length}}
+				}
 				n.Emits = append(n.Emits, Emission{
 					Channel: c,
-					B: schedule.BeaconSeq{
-						Beacons: []schedule.Beacon{{Time: at, Len: length}},
-						Period:  period,
-					},
-					Phase: timebase.Ticks(rng.Intn(500)) - 250,
+					B:       b,
+					Phase:   timebase.Ticks(rng.Intn(500)) - 250,
 				})
 			}
 			if rng.Intn(3) > 0 {
@@ -270,11 +276,29 @@ func randomWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn 
 	return nodes
 }
 
+// mixedBeacons draws two to four beacons of 1–20 ticks, each 0–2 ticks
+// after the previous one's end, within period: close enough that jitter
+// often starts two of them on one tick.
+func mixedBeacons(rng *rand.Rand, period timebase.Ticks) []schedule.Beacon {
+	var bs []schedule.Beacon
+	at := timebase.Ticks(rng.Intn(20))
+	for k := 2 + rng.Intn(3); k > 0; k-- {
+		length := timebase.Ticks(rng.Intn(20) + 1)
+		if at+length > period {
+			break
+		}
+		bs = append(bs, schedule.Beacon{Time: at, Len: length})
+		at += length + timebase.Ticks(rng.Intn(3))
+	}
+	return bs
+}
+
 // TestRunWorldMatchesBruteForce drives the kernel across randomized small
 // worlds — 1 to 3 channels, every channel-semantics combination, static and
-// churning presence — and across crowds of 17 to 24 emitters on one
-// channel, and demands exact agreement with the quadratic reference on
-// traffic, per-channel collision accounting and every first reception.
+// churning presence, one beacon per emission and mixed-length beacons —
+// and across crowds of 17 to 24 emitters on one channel, and demands exact
+// agreement with the quadratic reference on traffic, per-channel collision
+// accounting and every first reception.
 func TestRunWorldMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	horizon := timebase.Ticks(3000)
@@ -282,7 +306,7 @@ func TestRunWorldMatchesBruteForce(t *testing.T) {
 		nNodes := 2 + rng.Intn(3)
 		nCh := 1 + rng.Intn(3)
 		churn := trial%4 == 3
-		nodes := randomWorld(rng, nNodes, nCh, horizon, churn)
+		nodes := randomWorld(rng, nNodes, nCh, horizon, churn, false)
 		cfg := Config{
 			Horizon:          horizon,
 			Collisions:       trial%2 == 0,
@@ -294,13 +318,30 @@ func TestRunWorldMatchesBruteForce(t *testing.T) {
 		}
 		compareWorlds(t, "random world", nodes, cfg, int64(trial)+1)
 	}
+	// Mixed-length worlds, jittered in three trials of four, so that
+	// equal-start packets of one run are common; collisions, which destroy
+	// both packets of such a tie, stay off in most.
+	mixedRNG := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 200; trial++ {
+		nodes := randomWorld(mixedRNG, 2+mixedRNG.Intn(3), 1+mixedRNG.Intn(2), horizon, trial%5 == 4, true)
+		cfg := Config{
+			Horizon:          horizon,
+			Collisions:       trial%5 == 0,
+			HalfDuplex:       trial%7 == 0,
+			TruncatedWindows: trial%2 == 0,
+		}
+		if trial%4 != 0 {
+			cfg.Jitter = timebase.Ticks(mixedRNG.Intn(30) + 1)
+		}
+		compareWorlds(t, "mixed-length world", nodes, cfg, int64(trial)+1)
+	}
 	// Crowds: more than 16 emitters on channel 0, on the collision channel,
 	// some jittered and some with many equal starts.
 	crowdRNG := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 24; trial++ {
 		nNodes := 17 + crowdRNG.Intn(8)
 		equalStarts := trial%3 == 0
-		nodes := crowdWorld(crowdRNG, nNodes, 1+trial%2, horizon, trial%4 == 3, equalStarts)
+		nodes := crowdWorld(crowdRNG, nNodes, 1+trial%2, horizon, trial%4 == 3, equalStarts, false)
 		cfg := Config{
 			Horizon:    horizon,
 			Collisions: true,
@@ -317,8 +358,8 @@ func TestRunWorldMatchesBruteForce(t *testing.T) {
 // nNodes nodes emit on channel 0. With equalStarts those emissions share
 // one period and phase and draw their offsets from four values, so many
 // packets start at the same tick.
-func crowdWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn, equalStarts bool) []WorldNode {
-	nodes := randomWorld(rng, nNodes, nCh, horizon, churn)
+func crowdWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn, equalStarts, mixed bool) []WorldNode {
+	nodes := randomWorld(rng, nNodes, nCh, horizon, churn, mixed)
 	shared := timebase.Ticks(rng.Intn(300) + 100)
 	for i := range nodes {
 		period := shared
@@ -344,7 +385,8 @@ func crowdWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn, 
 // FuzzRunWorldMatchesBruteForce runs the kernel and the quadratic
 // reference on fuzzer-chosen worlds: seed drives randomWorld (or
 // crowdWorld), nodes and channels pick the world's size, and flags the
-// channel semantics. The two must agree exactly.
+// channel semantics and whether emissions mix beacon lengths. The two must
+// agree exactly.
 func FuzzRunWorldMatchesBruteForce(f *testing.F) {
 	const (
 		collisions = 1 << iota
@@ -354,20 +396,23 @@ func FuzzRunWorldMatchesBruteForce(f *testing.F) {
 		churn
 		crowd
 		equalStarts
+		mixedLengths
 	)
 	f.Add(int64(1), uint8(2), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(20), uint8(1), uint8(collisions|jitter|crowd))
 	f.Add(int64(3), uint8(6), uint8(3), uint8(collisions|halfDuplex|churn))
+	f.Add(int64(4), uint8(2), uint8(1), uint8(jitter|mixedLengths))
 	f.Fuzz(func(t *testing.T, seed int64, nodes, channels, flags uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		horizon := timebase.Ticks(3000)
 		n := 2 + int(nodes)%23
 		nCh := 1 + int(channels)%3
 		var world []WorldNode
+		mixed := flags&mixedLengths != 0
 		if flags&crowd != 0 {
-			world = crowdWorld(rng, n, nCh, horizon, flags&churn != 0, flags&equalStarts != 0)
+			world = crowdWorld(rng, n, nCh, horizon, flags&churn != 0, flags&equalStarts != 0, mixed)
 		} else {
-			world = randomWorld(rng, n, nCh, horizon, flags&churn != 0)
+			world = randomWorld(rng, n, nCh, horizon, flags&churn != 0, mixed)
 		}
 		cfg := Config{
 			Horizon:          horizon,
@@ -380,6 +425,34 @@ func FuzzRunWorldMatchesBruteForce(f *testing.F) {
 		}
 		compareWorlds(t, "fuzzed world", world, cfg, seed)
 	})
+}
+
+// TestFirstReceptionTieOrder: of equal-start packets in one run, the
+// shortest is the first reception, whatever order jitter generated them in
+// and however the run was sorted, so a longer horizon cannot change a
+// reception that ended well before the shorter one's cut. Here a jittered
+// emitter of mixed-length beacons starts two packets at tick 8, 6 and 1
+// ticks long.
+func TestFirstReceptionTieOrder(t *testing.T) {
+	emitter := WorldNode{Emits: []Emission{{B: schedule.BeaconSeq{
+		Beacons: []schedule.Beacon{{Time: 3, Len: 5}, {Time: 7, Len: 1}, {Time: 10, Len: 6}, {Time: 11, Len: 5}, {Time: 15, Len: 1}},
+		Period:  44,
+	}, Phase: 24}}}
+	listener := WorldNode{Listens: []Listening{{C: schedule.WindowSeq{
+		Windows: []schedule.Window{{Start: 0, Len: 5}},
+		Period:  32,
+	}, Phase: 7}}}
+	want := Reception{Start: 8, End: 9}
+	for _, h := range []timebase.Ticks{218, 1744} {
+		cfg := Config{Horizon: h, Jitter: 26}
+		res, err := RunWorldScratch([]WorldNode{emitter, listener}, cfg, rand.New(NewFastSource(3684313017840420493)), NewScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, ok := res.FirstReception(1, 0); !ok || rec != want {
+			t.Errorf("horizon %d: first reception %+v (%v), want %+v", h, rec, ok, want)
+		}
+	}
 }
 
 // TestRunWorldMultiChannelGroupMatchesBruteForce pins the kernel against
