@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRunWorldMatchesBruteForce -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzPairKernelsMatchAnalyses -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzPairTrialMatchesReference -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzPairTableMatchesKernel -fuzztime 15s ./internal/sim
 
 # Full-tree race detector run — the CI "race (full tree)" gate.
 race:

@@ -88,6 +88,11 @@ func registry() ([]bench, error) {
 		// exact-mode speedup the trajectory tracks.
 		{"EngineExactPoint", 0, engineBench(exact, 0, all)},
 		{"EngineExactPointMC", 500, engineBench(quick, 500, all)},
+		// The quiet pairs the warm-mc benchmark workload streams: 2^18+1
+		// trials, past the accumulator's quantization threshold, of the
+		// single-channel and the multi-channel pair.
+		{"EnginePairStream", streamTrials, engineBench(quick, streamTrials, all)},
+		{"EngineMultiChannelPairStream", streamTrials, engineBench(fast, streamTrials, all)},
 		{"CoverageAnalyzeDisco2329", 0, benchCoverageDisco},
 		{"CoverageAnalyzeDiscoOneWay", 0, benchCoverageDiscoOneWay},
 		{"MultichannelAnalyzeBLE", 0, benchMultichannelBLE},
@@ -95,6 +100,9 @@ func registry() ([]bench, error) {
 		{"SlotsAnalyzeDisco3743", 0, benchSlotsAnalyzeDisco},
 	}, nil
 }
+
+// streamTrials is the trial count of the streamed pair rows.
+const streamTrials = 1<<18 + 1
 
 // engineBench measures RunScenario end to end at a fixed trial count and
 // worker count. The build cache is warmed first so the loop measures

@@ -117,52 +117,36 @@ type Result struct {
 // capped horizon cuts that repetition, so the sweep then lists the mB−1
 // beacons the later starts reach beyond it instead.
 func Analyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, error) {
-	if err := b.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := c.Validate(); err != nil {
-		return Result{}, err
-	}
-	if b.Empty() {
-		return Result{}, errors.New("coverage: beacon sequence is empty")
-	}
-	if c.Empty() {
-		return Result{}, errors.New("coverage: window sequence is empty")
-	}
+	res, _, err := AnalyzeWithTableSize(b, c, opt)
+	return res, err
+}
 
-	windows, err := usefulWindows(c, opt, maxOmega(b))
+// AnalyzeWithTableSize is Analyze that also returns the entry count of the
+// pair's latency table (NewTable): one entry per starting beacon on each
+// elementary segment of the sweep. The count is 0 when NewTable refuses
+// the pair, or when opt truncates the windows, which the table does not
+// model. Counting costs nothing beyond the sweep Analyze runs anyway, so a
+// caller can decide whether a table pays before building one.
+func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, int, error) {
+	s, err := newPairSweep(b, c, opt)
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
-
-	// Start j examines beacons j … j+horizon−1: the delays below
-	// delays[j+horizon].
-	horizon, hyper := horizonBeacons(b, c, opt)
-	mB := b.MB()
-	delays := beaconDelays(b, horizon+mB)
-	listed := horizon
-	if hyper == 0 {
-		listed += mB - 1
-	}
-	items := make([]interval.Labeled, 0, listed*len(windows))
-	for _, d := range delays[:listed] {
-		for _, w := range windows {
-			items = append(items, interval.Labeled{Lo: w.Start - d, Length: w.Len, Label: int64(d)})
-		}
-	}
-
+	mB := s.mB
 	var (
 		uncovered  timebase.Ticks
+		segments   int
 		minM, maxM = math.MaxInt, 0
-		lastFirst  int64                    // latest first-covering delay from beacon 0
-		minSecond  = int64(math.MaxInt64)   // earliest second-covering delay
-		lMax       = make([]int64, mB)      // per start: worst packet latency
-		lSum       = make([]uint128, mB)    // per start: Σ latency · segment length
-		failed     = mB                     // first start that leaves an offset uncovered
-		horizonEnd = int64(delays[horizon]) // beacon 0's horizon
+		lastFirst  int64                        // latest first-covering delay from beacon 0
+		minSecond  = int64(math.MaxInt64)       // earliest second-covering delay
+		lMax       = make([]int64, mB)          // per start: worst packet latency
+		lSum       = make([]uint128, mB)        // per start: Σ latency · segment length
+		failed     = mB                         // first start that leaves an offset uncovered
+		horizonEnd = int64(s.delays[s.horizon]) // beacon 0's horizon
 	)
 	var sweep interval.Sweeper
-	sweep.Sweep(c.Period, items, func(iv interval.Interval, labels []int64) {
+	sweep.Sweep(c.Period, s.items, func(iv interval.Interval, labels []int64) {
+		segments++
 		// The beacons of one period have delays below TB.
 		m := 0
 		for m < len(labels) && labels[m] < int64(b.Period) {
@@ -180,26 +164,22 @@ func Analyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, e
 		if uncovered > 0 {
 			return // not deterministic: latencies are not reported
 		}
-		length, ends, p := uint64(iv.Len()), delays[horizon:horizon+mB], 0
-		for j, tau := range delays[:mB] {
-			for p < len(labels) && labels[p] < int64(tau) {
-				p++
-			}
-			var first int64
-			switch {
-			case p < len(labels) && labels[p] < int64(ends[j]):
-				first = labels[p]
-			case hyper > 0:
-				first = labels[0] + int64(hyper)
-			default:
+		length, p := uint64(iv.Len()), 0
+		for j := 0; j < mB; j++ {
+			first, ok := s.first(labels, j, &p)
+			if !ok {
 				failed = min(failed, j)
 				continue
 			}
-			l := first - int64(tau)
+			l := first - int64(s.delays[j])
 			lMax[j] = max(lMax[j], l)
 			lSum[j].addMul(uint64(l), length)
 		}
 	})
+	entries := 0
+	if s.hyper > 0 && !opt.TruncatedWindows {
+		entries = segments * mB
+	}
 
 	res := Result{
 		Deterministic:   uncovered == 0,
@@ -210,17 +190,17 @@ func Analyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, e
 	if !res.Deterministic {
 		// Redundant/Disjoint are properties of a deterministic prefix
 		// (Definition 4.2) and stay false for non-deterministic pairs.
-		return res, nil
+		return res, entries, nil
 	}
 	// The minimal deterministic prefix ends with the latest first-covering
 	// beacon; it is redundant iff a second beacon within it covers some
 	// offset.
-	last, _ := slices.BinarySearch(delays, timebase.Ticks(lastFirst))
+	last, _ := slices.BinarySearch(s.delays, timebase.Ticks(lastFirst))
 	res.MinimalPrefix = last + 1
-	res.Redundant = minSecond < int64(delays[last+1])
+	res.Redundant = minSecond < int64(s.delays[last+1])
 	res.Disjoint = !res.Redundant
 	if failed < mB {
-		return res, fmt.Errorf("coverage: start beacon %d does not achieve coverage although beacon 0 does", failed)
+		return res, entries, fmt.Errorf("coverage: start beacon %d does not achieve coverage although beacon 0 does", failed)
 	}
 
 	// Worst and mean latency over every starting beacon j. The entry
@@ -246,7 +226,133 @@ func Analyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, e
 	res.WorstPacketLatency = worstPacket
 	res.WorstLatency = worst
 	res.MeanLatency = meanNum / float64(b.Period)
-	return res, nil
+	return res, entries, nil
+}
+
+// pairSweep is the sweep Analyze and NewTable share: beacon 0's images on
+// the circle [0, TC), one item per (beacon, useful window), each labeled
+// with its beacon's delay after beacon 0.
+type pairSweep struct {
+	mB      int
+	horizon int              // beacons each start examines
+	hyper   timebase.Ticks   // the hyperperiod when horizon spans one, else 0
+	delays  []timebase.Ticks // delays[i]: beacon i's delay after beacon 0
+	items   []interval.Labeled
+}
+
+// newPairSweep validates the pair and lays out its sweep items: the
+// horizon's beacons, plus the mB−1 that later starts reach past a capped
+// horizon.
+func newPairSweep(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (pairSweep, error) {
+	if err := b.Validate(); err != nil {
+		return pairSweep{}, err
+	}
+	if err := c.Validate(); err != nil {
+		return pairSweep{}, err
+	}
+	if b.Empty() {
+		return pairSweep{}, errors.New("coverage: beacon sequence is empty")
+	}
+	if c.Empty() {
+		return pairSweep{}, errors.New("coverage: window sequence is empty")
+	}
+	windows, err := usefulWindows(c, opt, maxOmega(b))
+	if err != nil {
+		return pairSweep{}, err
+	}
+	s := pairSweep{mB: b.MB()}
+	s.horizon, s.hyper = horizonBeacons(b, c, opt)
+	// Start j examines beacons j … j+horizon−1.
+	s.delays = beaconDelays(b, s.horizon+s.mB)
+	listed := s.horizon
+	if s.hyper == 0 {
+		listed += s.mB - 1
+	}
+	s.items = make([]interval.Labeled, 0, listed*len(windows))
+	for _, d := range s.delays[:listed] {
+		for _, w := range windows {
+			s.items = append(s.items, interval.Labeled{Lo: w.Start - d, Length: w.Len, Label: int64(d)})
+		}
+	}
+	return s, nil
+}
+
+// first returns the delay after beacon 0 of the beacon that start j
+// discovers with at an offset covered by the beacons of delays labels
+// (ascending, at least one): the first at or after beacon j within j's
+// horizon, or past it the first covering one a hyperperiod later. ok is
+// false when j's horizon ends first. p is a cursor into labels: a caller
+// passes 0 for its first start and then visits starts in increasing order.
+func (s *pairSweep) first(labels []int64, j int, p *int) (delay int64, ok bool) {
+	q := *p
+	for q < len(labels) && labels[q] < int64(s.delays[j]) {
+		q++
+	}
+	*p = q
+	if q < len(labels) && labels[q] < int64(s.delays[j+s.horizon]) {
+		return labels[q], true
+	}
+	return labels[0] + int64(s.hyper), s.hyper > 0
+}
+
+// Table is a pair's latency table on a quiet channel: the coverage map of
+// Section 4.1 kept per elementary segment instead of integrated. With
+// beacon 0 at offset x of the window period, the segment holding x fixes
+// which beacons land in a window, and so, for every starting beacon j, the
+// delay from j's start to the end of the first beacon received: the
+// latency the simulation kernel reports, which counts the received
+// beacon's own airtime. Beacon j then sits at offset x + (τj − τ0); every
+// start shares beacon 0's segments, so only the latencies are per start.
+type Table struct {
+	// Bounds are the segments' starts, ascending from 0: segment s covers
+	// beacon-0 offsets [Bounds[s], Bounds[s+1]), the last one up to TC.
+	Bounds []timebase.Ticks
+
+	// Latency holds, start-major, every start's latency per segment:
+	// Latency[j·len(Bounds)+s] for start j on segment s, or −1 where no
+	// beacon ever lands in a window.
+	Latency []timebase.Ticks
+}
+
+// NewTable tabulates the latency of listener c discovering sender b on a
+// quiet channel, from the sweep Analyze runs. It covers deterministic and
+// non-deterministic pairs alike, and refuses a pair whose hyperperiod
+// spans more beacons than the analysis examines, since offsets it leaves
+// uncovered could still discover later.
+func NewTable(b schedule.BeaconSeq, c schedule.WindowSeq) (Table, error) {
+	s, err := newPairSweep(b, c, Options{})
+	if err != nil {
+		return Table{}, err
+	}
+	if s.hyper == 0 {
+		return Table{}, fmt.Errorf("coverage: the hyperperiod of lcm(%d, %d) spans more than %d beacons; no latency table", b.Period, c.Period, s.horizon)
+	}
+	var t Table
+	var bySegment []timebase.Ticks // segment-major while sweeping
+	var sweep interval.Sweeper
+	sweep.Sweep(c.Period, s.items, func(iv interval.Interval, labels []int64) {
+		t.Bounds = append(t.Bounds, iv.Lo)
+		p := 0
+		for j := 0; j < s.mB; j++ {
+			if len(labels) == 0 {
+				bySegment = append(bySegment, -1)
+				continue
+			}
+			// With a whole hyperperiod listed, every start discovers
+			// wherever beacon 0's images cover. The received beacon's
+			// airtime counts; delays grow with the beacon ordinal, so its
+			// delay within the hyperperiod finds it.
+			first, _ := s.first(labels, j, &p)
+			i, _ := slices.BinarySearch(s.delays, timebase.Ticks(first)%s.hyper)
+			bySegment = append(bySegment, timebase.Ticks(first)-s.delays[j]+b.Beacons[i%s.mB].Len)
+		}
+	})
+	segs := len(t.Bounds)
+	t.Latency = make([]timebase.Ticks, len(bySegment))
+	for i, l := range bySegment {
+		t.Latency[(i%s.mB)*segs+i/s.mB] = l
+	}
+	return t, nil
 }
 
 // LatencyProfile returns the exact packet-to-packet discovery latency as a

@@ -400,3 +400,53 @@ func TestMinimalPrefixMatchesBeaconingTheorem(t *testing.T) {
 		}
 	}
 }
+
+// TestTableSizeMatchesTable: the entry count AnalyzeWithTableSize reports
+// is the size of the table NewTable builds, so a caller can weigh a table
+// before building it. It is 0 where NewTable refuses the pair (a capped
+// horizon) or its options change the windows the table does not model.
+func TestTableSizeMatchesTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 300; i++ {
+		b := schedule.BeaconSeq{Period: timebase.Ticks(20 + rng.Intn(60))}
+		for at := timebase.Ticks(rng.Intn(5)); len(b.Beacons) < 4; {
+			l := timebase.Ticks(1 + rng.Intn(3))
+			if at+l > b.Period {
+				break
+			}
+			b.Beacons = append(b.Beacons, schedule.Beacon{Time: at, Len: l})
+			at += l + timebase.Ticks(rng.Intn(20))
+		}
+		c := schedule.WindowSeq{Period: timebase.Ticks(20 + rng.Intn(60))}
+		for at := timebase.Ticks(rng.Intn(5)); len(c.Windows) < 3; {
+			l := timebase.Ticks(4 + rng.Intn(10))
+			if at+l > c.Period {
+				break
+			}
+			c.Windows = append(c.Windows, schedule.Window{Start: at, Len: l})
+			at += l + 1 + timebase.Ticks(rng.Intn(20))
+		}
+		if b.Empty() || c.Empty() {
+			continue
+		}
+		_, n, err := AnalyzeWithTableSize(b, c, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := NewTable(b, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 || n != len(tab.Latency) || n != len(tab.Bounds)*b.MB() {
+			t.Fatalf("%v / %v: analysis counts %d entries, table has %d (%d segments × %d starts)",
+				b, c, n, len(tab.Latency), len(tab.Bounds), b.MB())
+		}
+		// A capped horizon may also fail a later start; the count is 0
+		// either way.
+		for _, opt := range []Options{{MaxBeacons: 3}, {TruncatedWindows: true}} {
+			if _, n, _ := AnalyzeWithTableSize(b, c, opt); n != 0 {
+				t.Fatalf("%v / %v, %+v: %d entries, want 0", b, c, opt, n)
+			}
+		}
+	}
+}

@@ -209,10 +209,11 @@ func runQuantized(t *testing.T, sc Scenario) Aggregate {
 		t.Fatal(err)
 	}
 	p.quantized = true
+	p.begin(1)
 	acc := p.newAccum()
 	scr := sim.NewScratch()
 	for trial := 0; trial < p.sc.Trials; trial++ {
-		if err := runTrial(p.sc, p.b, p.cfg, p.stay, p.hash, trial, scr, acc); err != nil {
+		if err := p.runTrial(trial, scr, acc); err != nil {
 			t.Fatal(err)
 		}
 	}

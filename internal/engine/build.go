@@ -69,6 +69,12 @@ type built struct {
 	GammaF      float64 // F's receive duty-cycle
 	BetaMax     float64 // resolved channel cap ("constrained" only)
 
+	// TableEntries is the entry count of the quiet pair's latency table
+	// (sim.Pair.Tabulate) as the analysis reports it, for the pair kinds:
+	// E's beacons against F's windows, or the multi-channel pair. Zero
+	// when no table can be built.
+	TableEntries int
+
 	// MC is the multi-channel model and MCBranches its per-starting-PDU
 	// exact analysis (modeMultiChannel only).
 	MC         multichannel.Config
@@ -320,11 +326,11 @@ func buildUncached(p ProtocolSpec, population int) (*built, error) {
 		return nil, fmt.Errorf("engine: unknown protocol kind %q", p.Kind)
 	}
 
-	ana, err := coverage.Analyze(b.E.B, b.F.C, coverage.Options{})
+	ana, entries, err := coverage.AnalyzeWithTableSize(b.E.B, b.F.C, coverage.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("engine: analyzing %s: %w", p.Kind, err)
 	}
-	b.Analysis = ana
+	b.Analysis, b.TableEntries = ana, entries
 	if ana.Deterministic {
 		b.WorstTwoWay = ana.WorstLatency
 	}
@@ -433,15 +439,16 @@ func buildMultiChannel(p ProtocolSpec, params core.Params, alpha float64) (*buil
 	if err != nil {
 		return nil, err
 	}
-	res, err := multichannel.Analyze(cfg)
+	res, entries, err := multichannel.AnalyzeWithTableSize(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("engine: analyzing multichannel: %w", err)
 	}
 	b := &built{
-		Mode:       modeMultiChannel,
-		Symmetric:  false, // advertiser and scanner are distinct roles
-		MC:         cfg,
-		MCBranches: res.Branches,
+		Mode:         modeMultiChannel,
+		Symmetric:    false, // advertiser and scanner are distinct roles
+		MC:           cfg,
+		MCBranches:   res.Branches,
+		TableEntries: entries,
 		Analysis: coverage.Result{
 			Deterministic:   res.Deterministic,
 			CoveredFraction: res.CoveredFraction,

@@ -90,6 +90,11 @@ type Options struct {
 	// the point's input index and captured snapshot, serialized by the
 	// journal layer. An error fails the point.
 	pointDone func(idx int, snap *PointSnapshot) error
+
+	// kernelOnly runs every pair trial on the kernel, even where the
+	// point would read its latency table: a test hook that shows the two
+	// paths agree, never set outside tests.
+	kernelOnly bool
 }
 
 func (o Options) workers() int {
@@ -137,6 +142,9 @@ type point struct {
 	result  func(idx int, agg Aggregate)
 	snap    *PointSnapshot
 
+	// kernelOnly mirrors Options.kernelOnly.
+	kernelOnly bool
+
 	// accs (one accumulator slot per worker — only worker w touches
 	// accs[w]) is allocated by the feeder just before the point's first
 	// trial is enqueued, and released by the worker that finishes the
@@ -147,6 +155,12 @@ type point struct {
 	accs      []*Accum
 	remaining atomic.Int64
 	agg       Aggregate
+
+	// pair is the prepared pair the pair kinds' trials run on, tabulated
+	// when the point's trial range pays for its latency table (see
+	// tabulates). Like accs it lives from the feeder's begin to finalize,
+	// so only in-flight points hold a table.
+	pair *sim.Pair
 
 	// startNS is 1 + the recorder-relative start time of the point's
 	// first trial (0 = none started yet), CAS'd once by whichever worker
@@ -186,7 +200,7 @@ func (p *point) finalize(rec *runRecorder) {
 	}
 	defer rec.accumRelease(held)
 	accs := p.accs
-	p.accs = nil
+	p.accs, p.pair = nil, nil
 	if p.failed.Load() {
 		return
 	}
@@ -346,18 +360,19 @@ func prepare(sc Scenario, opt Options) (*point, error) {
 		lo, hi = opt.shard.Range(sc.Trials)
 	}
 	p := &point{
-		sc:        sc,
-		b:         b,
-		stay:      stay,
-		horizon:   horizon,
-		hash:      sc.Hash(),
-		quantized: quantized(sc),
-		exact:     sc.Exact,
-		lo:        lo,
-		hi:        hi,
-		capture:   opt.capture,
-		done:      opt.pointDone,
-		result:    opt.PointResult,
+		sc:         sc,
+		b:          b,
+		stay:       stay,
+		horizon:    horizon,
+		hash:       sc.Hash(),
+		quantized:  quantized(sc),
+		exact:      sc.Exact,
+		lo:         lo,
+		hi:         hi,
+		capture:    opt.capture,
+		done:       opt.pointDone,
+		result:     opt.PointResult,
+		kernelOnly: opt.kernelOnly,
 		cfg: sim.Config{
 			Horizon:          horizon,
 			Collisions:       sc.Channel.Collisions,
@@ -373,6 +388,47 @@ func prepare(sc Scenario, opt Options) (*point, error) {
 // newAccum lays out an empty accumulator for the point.
 func (p *point) newAccum() *Accum {
 	return newAccum(p.horizon, keyWidth(p.horizon, p.quantized), p.contactWorst(), p.chanCount())
+}
+
+// maxPairTableBytes caps a point's latency table, at sim.TableEntryBytes
+// per entry: quickstart's 10,000 entries come to ~160 KB, while a one-way
+// Disco(37, 43) pair would need ~1M entries, ~16 MB, and runs on the
+// kernel.
+const maxPairTableBytes = 4 << 20
+
+// begin materializes the point's trial state as the feeder starts it: one
+// accumulator slot per worker and, for the pair kinds, the prepared pair,
+// tabulated when tabulates says so. finalize releases both.
+func (p *point) begin(workers int) {
+	p.accs = make([]*Accum, workers)
+	var err error
+	switch {
+	case p.b.Mode == modeMultiChannel:
+		p.pair, err = sim.NewMultiChannelPair(p.b.MC)
+	case p.b.Mode == modePair && p.sc.Population == 2 && p.sc.Churn == nil:
+		// The pair workload measures the one-way direction the bounds
+		// speak about: E's beacons against F's windows, stripped so that
+		// neither device's other half participates.
+		p.pair = sim.NewPair(schedule.Device{B: p.b.E.B}, schedule.Device{C: p.b.F.C})
+	}
+	if err == nil && p.tabulates() {
+		err = p.pair.Tabulate()
+	}
+	if err != nil {
+		p.recordErr(p.lo, err)
+	}
+}
+
+// tabulates is the gate on a pair point's latency table: the point's
+// channel is quiet, and its trial range is at least the table's entry
+// count (so building the table costs less than the kernel runs it saves)
+// within maxPairTableBytes. It reads what the point knows before building
+// anything; every path is bit-identical, so the gate never changes a
+// result, even where shards of one point fall on either side of it.
+func (p *point) tabulates() bool {
+	n := p.b.TableEntries
+	return p.pair != nil && !p.kernelOnly && p.sc.Channel == (ChannelSpec{}) &&
+		n > 0 && p.hi-p.lo >= n && n*sim.TableEntryBytes <= maxPairTableBytes
 }
 
 // contactWorst is the contact-bin scale: the exact worst case, when the
@@ -523,10 +579,10 @@ func runPoints(scenarios []Scenario, opt Options) ([]*point, error) {
 				rec.pointsDone.Add(1)
 				continue
 			}
-			// Allocated here, not in prepare: the bounded channel
+			// Materialized here, not in prepare: the bounded channel
 			// throttles the feeder, so only in-flight points hold their
 			// trial state.
-			p.accs = make([]*Accum, workers)
+			p.begin(workers)
 			bs := batchSize(p.hi-p.lo, workers)
 			for t := p.lo; t < p.hi; t += bs {
 				hi := t + bs
@@ -586,11 +642,14 @@ func runPoints(scenarios []Scenario, opt Options) ([]*point, error) {
 					size = acc.approxBytes()
 				}
 				for trial := it.lo; trial < it.hi; trial++ {
-					if err := runTrial(p.sc, p.b, p.cfg, p.stay, p.hash, trial, scr, acc); err != nil {
+					if err := p.runTrial(trial, scr, acc); err != nil {
 						p.recordErr(trial, err)
 					}
-					rec.trialsDone.Add(1)
 				}
+				// Counted per window, not per trial: a claimed window
+				// always completes whole, so progress and the
+				// cancellation message read the same totals.
+				rec.trialsDone.Add(int64(it.hi - it.lo))
 				rec.accumAdd(acc.approxBytes() - size)
 				// The worker finishing the point's last trial aggregates
 				// and releases it. The atomic counter orders every
@@ -670,21 +729,10 @@ func releaseArena(scr *sim.Scratch) {
 // math/rand source costs ~25 µs of seeding per instantiation, which
 // dominated the per-trial budget), and the sim buffers are reused across
 // the worker's trials. A failed trial adds nothing.
-func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash uint64, trial int, scr *sim.Scratch, acc *Accum) error {
-	rng := scr.Rand(trialSeed(hash, trial))
+func (p *point) runTrial(trial int, scr *sim.Scratch, acc *Accum) error {
+	sc, b, cfg, stay := p.sc, p.b, p.cfg, p.stay
+	rng := scr.Rand(trialSeed(p.hash, trial))
 	switch {
-	case b.Mode == modeMultiChannel:
-		oc, err := sim.MultiChannelPairTrialScratch(b.MC, cfg.Horizon, rng, scr)
-		if err != nil {
-			return err
-		}
-		if oc.Discovered {
-			acc.add(oc.Latency)
-			acc.ChanDisc[oc.Channel]++
-		} else {
-			acc.Misses++
-		}
-
 	case b.Mode == modeSlotGrid:
 		at, ok, err := b.SlotPair.TrialScratch(cfg.Horizon, rng, scr)
 		if err != nil {
@@ -736,15 +784,17 @@ func runTrial(sc Scenario, b *built, cfg sim.Config, stay timebase.Ticks, hash u
 		}
 
 	default:
-		// The pair workload measures the one-way direction the bounds
-		// speak about: E's beacons against F's windows, stripped so that
-		// neither device's other half participates.
-		at, ok, err := sim.PairTrialScratch(
-			schedule.Device{B: b.E.B}, schedule.Device{C: b.F.C}, cfg, rng, scr)
+		// Both pair kinds, on the point's prepared pair (begin):
+		// per-channel discovery rows exist only for the multi-channel pair
+		// (acc's channel counters are empty otherwise).
+		at, ch, ok, err := p.pair.TrialScratch(cfg, rng, scr)
 		if err != nil {
 			return err
 		}
 		acc.addOutcome(at, ok)
+		if ok && len(acc.ChanDisc) > 0 {
+			acc.ChanDisc[ch]++
+		}
 	}
 	return nil
 }

@@ -119,62 +119,34 @@ type pdu struct {
 // configuration, sweeping all relative phases between advertiser and
 // scanner.
 func Analyze(cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+	res, _, err := AnalyzeWithTableSize(cfg)
+	return res, err
+}
+
+// AnalyzeWithTableSize is Analyze that also returns the entry count of the
+// configuration's latency table: Analyze folds the table (NewTable), so the
+// count comes free.
+func AnalyzeWithTableSize(cfg Config) (Result, int, error) {
+	t, err := NewTable(cfg)
+	if err != nil {
+		return Result{}, 0, err
 	}
 	circle := timebase.Ticks(cfg.Channels) * cfg.Ts // scanner channel cycle
-
-	// PDUs within one advertising event.
-	pdus := make([]pdu, cfg.Channels)
-	for i := range pdus {
-		pdus[i] = pdu{channel: i, offset: timebase.Ticks(i) * (cfg.Omega + cfg.IFS)}
-	}
-
-	// Scanner window for channel c sits at the end of interval c within
-	// the cycle: [c·Ts + Ts − Ds, (c+1)·Ts).
-	winStart := func(ch int) timebase.Ticks {
-		return timebase.Ticks(ch)*cfg.Ts + cfg.Ts - cfg.Ds
-	}
-
-	// Beacon occurrences repeat with period Ta; their images on the
-	// circle repeat after the hyperperiod.
-	hyper := timebase.LCM(cfg.Ta, circle)
-	events := int(hyper / cfg.Ta)
-	if events < 1 {
-		events = 1
-	}
+	pdus := eventPDUs(cfg)
 
 	var (
 		worst     timebase.Ticks
 		meanNum   float64
 		coveredOK = true
 		coveredW  float64 // Σ_j gap_j · covered_j, in ticks²
+		entries   int
 		branches  = make([]Branch, 0, cfg.Channels)
 	)
 	// Starting PDU j: range entry can fall anywhere in the gap before it.
 	// Gaps within an event are IFS-scale; the gap before PDU 0 spans back
 	// to the previous event's last PDU.
-	for j := 0; j < cfg.Channels; j++ {
-		var items []interval.Labeled
-		start := pdus[j].offset
-		for e := 0; e < events+1; e++ {
-			for _, p := range pdus {
-				at := timebase.Ticks(e)*cfg.Ta + p.offset
-				if at < start {
-					continue
-				}
-				delay := at - start
-				items = append(items, interval.Labeled{
-					Lo:     winStart(p.channel) - delay,
-					Length: cfg.Ds,
-					Label:  int64(delay),
-				})
-			}
-		}
-		segs, cov := interval.SweepMin(circle, items)
-		if !cov {
-			coveredOK = false
-		}
+	for j, segs := range t {
+		entries += len(segs)
 		var lMax timebase.Ticks
 		var lSum float64
 		var covSum timebase.Ticks
@@ -187,6 +159,10 @@ func Analyze(cfg Config) (Result, error) {
 				lMax = l
 			}
 			lSum += float64(seg.Label) * float64(seg.Iv.Len())
+		}
+		cov := covSum == circle
+		if !cov {
+			coveredOK = false
 		}
 		// Range entry lands in the gap before PDU j with probability
 		// gapBefore/Ta, and within that branch a fraction covSum/circle
@@ -226,7 +202,69 @@ func Analyze(cfg Config) (Result, error) {
 		res.WorstLatency = worst
 		res.MeanLatency = meanNum / float64(cfg.Ta)
 	}
-	return res, nil
+	return res, entries, nil
+}
+
+// Table is a configuration's latency table: for every starting PDU j, the
+// elementary segments of branch j over the scanner's channel cycle
+// [0, Channels·Ts). With PDU j starting at offset φ of the cycle, the
+// segment holding φ labels the delay from PDU j's start to the start of
+// the first PDU received; a segment of Count 0 never discovers.
+type Table [][]interval.Segment
+
+// NewTable sweeps every branch j, range entry just before PDU j, over the
+// scanner's channel cycle: every PDU from PDU j on, over one hyperperiod
+// of advertiser and scanner, contributes one offset interval labeled with
+// its delay after PDU j. The images repeat after the hyperperiod, so an
+// offset no PDU covers by then never discovers.
+func NewTable(cfg Config) (Table, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	circle := timebase.Ticks(cfg.Channels) * cfg.Ts
+	// Scanner window for channel c sits at the end of interval c within
+	// the cycle: [c·Ts + Ts − Ds, (c+1)·Ts).
+	winStart := func(ch int) timebase.Ticks {
+		return timebase.Ticks(ch)*cfg.Ts + cfg.Ts - cfg.Ds
+	}
+	// Beacon occurrences repeat with period Ta; their images on the
+	// circle repeat after the hyperperiod.
+	hyper := timebase.LCM(cfg.Ta, circle)
+	events := int(hyper / cfg.Ta)
+	if events < 1 {
+		events = 1
+	}
+	pdus := eventPDUs(cfg)
+	t := make(Table, cfg.Channels)
+	for j := range t {
+		var items []interval.Labeled
+		start := pdus[j].offset
+		for e := 0; e < events+1; e++ {
+			for _, p := range pdus {
+				at := timebase.Ticks(e)*cfg.Ta + p.offset
+				if at < start {
+					continue
+				}
+				delay := at - start
+				items = append(items, interval.Labeled{
+					Lo:     winStart(p.channel) - delay,
+					Length: cfg.Ds,
+					Label:  int64(delay),
+				})
+			}
+		}
+		t[j], _ = interval.SweepMin(circle, items)
+	}
+	return t, nil
+}
+
+// eventPDUs lays out the PDUs of one advertising event.
+func eventPDUs(cfg Config) []pdu {
+	pdus := make([]pdu, cfg.Channels)
+	for i := range pdus {
+		pdus[i] = pdu{channel: i, offset: timebase.Ticks(i) * (cfg.Omega + cfg.IFS)}
+	}
+	return pdus
 }
 
 // gapBeforePDU returns the transmission gap preceding PDU j (start to

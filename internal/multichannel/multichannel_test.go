@@ -293,3 +293,34 @@ func TestBranchStatsConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestTableSizeMatchesTable: the entry count AnalyzeWithTableSize reports
+// is the size of the table NewTable builds, whose branches tile the
+// scanner's channel cycle.
+func TestTableSizeMatchesTable(t *testing.T) {
+	for _, cfg := range []Config{
+		BLE(20000, 128, 30000, 30000),
+		BLE(100000, 128, 60000, 10000),
+		{Ta: 31, Omega: 2, IFS: 1, Ts: 7, Ds: 3, Channels: 4},
+		{Ta: 9, Omega: 1, IFS: 0, Ts: 5, Ds: 1, Channels: 1},
+	} {
+		_, n, err := AnalyzeWithTableSize(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := NewTable(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, segs := range tab {
+			total += len(segs)
+			if segs[0].Iv.Lo != 0 || segs[len(segs)-1].Iv.Hi != timebase.Ticks(cfg.Channels)*cfg.Ts {
+				t.Fatalf("%+v: a branch spans %v to %v", cfg, segs[0].Iv, segs[len(segs)-1].Iv)
+			}
+		}
+		if len(tab) != cfg.Channels || total != n {
+			t.Fatalf("%+v: analysis counts %d entries, table has %d over %d branches", cfg, n, total, len(tab))
+		}
+	}
+}

@@ -21,6 +21,8 @@ import (
 // enter range on integer ticks, which loses the last tick of every
 // latency segment: their worst case is the analysis's minus exactly one
 // tick and their mean the analysis's minus exactly half a tick. The
+// single- and multi-channel latency tables read the same grid off the
+// analyses' sweeps and must agree with the kernel phase by phase. The
 // slot-grid trial's ensemble is the slot analysis's own, so it matches
 // outright once slots are converted to ticks. Means compare to float64
 // rounding, as both sides are floats.
@@ -101,12 +103,12 @@ func deviceDesign(p *bytePicker) (b schedule.BeaconSeq, c schedule.WindowSeq, ok
 	return b, c, b.Validate() == nil && c.Validate() == nil
 }
 
-// mcDesign decodes a small multi-channel config: 1–3 channels, 1–3-tick
+// mcDesign decodes a small multi-channel config: 1–4 channels, 1–3-tick
 // PDUs, an advertising interval up to 40 ticks past the event and scan
 // intervals of 2–31 ticks.
 func mcDesign(p *bytePicker) (multichannel.Config, bool) {
 	mc := multichannel.Config{
-		Channels: 1 + p.pick(3),
+		Channels: 1 + p.pick(4),
 		Omega:    timebase.Ticks(1 + p.pick(3)),
 		IFS:      timebase.Ticks(p.pick(4)),
 		Ts:       timebase.Ticks(2 + p.pick(30)),
@@ -130,10 +132,10 @@ func slotDesign(p *bytePicker) slots.Schedule {
 }
 
 // checkDevicePair runs the single-channel pair kernel (latency to the
-// packet's end) on every integer phase pair of sender b and listener c,
-// and requires coverage's worst − 1 and mean − ½ with the last packet
-// counted. It reports whether the design was deterministic, and so
-// checked.
+// packet's end) and the pair's latency table on every integer phase pair
+// of sender b and listener c, requires them to agree, and requires
+// coverage's worst − 1 and mean − ½ with the last packet counted. It
+// reports whether the design was deterministic, and so checked.
 func checkDevicePair(t *testing.T, scr *Scratch, b schedule.BeaconSeq, c schedule.WindowSeq) bool {
 	t.Helper()
 	ana, err := coverage.Analyze(b, c, coverage.Options{CountLastPacket: true})
@@ -144,17 +146,24 @@ func checkDevicePair(t *testing.T, scr *Scratch, b schedule.BeaconSeq, c schedul
 		return false
 	}
 	e, f := schedule.Device{B: b}, schedule.Device{C: c}
+	pair := NewPair(e, f)
+	if err := pair.Tabulate(); err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{Horizon: ana.WorstLatency}
 	var got phaseStats
 	for pe := timebase.Ticks(0); pe < b.Period; pe++ {
 		for pf := timebase.Ticks(0); pf < c.Period; pf++ {
-			at, ok, err := scr.pairAt(e, f, pe, pf, cfg, 0)
+			at, ok, err := scr.pairAt(e, f, pe, pf, cfg, 0, pairMargin(e, f))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				t.Fatalf("beacons %v / windows %v: phases (%d, %d) missed within the worst case %d",
 					b, c, pe, pf, ana.WorstLatency)
+			}
+			if tab, _, tabOK := pair.lookup(pe, pf, cfg.Horizon); tab != at || !tabOK {
+				t.Fatalf("beacons %v / windows %v: phases (%d, %d): kernel %d, table (%d, %v)", b, c, pe, pf, at, tab, tabOK)
 			}
 			got.add(at)
 		}
@@ -164,8 +173,9 @@ func checkDevicePair(t *testing.T, scr *Scratch, b schedule.BeaconSeq, c schedul
 }
 
 // checkMultiChannelPair runs the multi-channel pair kernel (latency to the
-// PDU's start) on every advertising-event and scan-cycle offset of mc, and
-// requires multichannel's worst − 1 and mean − ½.
+// PDU's start) and the configuration's latency table on every
+// advertising-event and scan-cycle offset of mc, requires them to agree,
+// and requires multichannel's worst − 1 and mean − ½.
 func checkMultiChannelPair(t *testing.T, scr *Scratch, mc multichannel.Config) bool {
 	t.Helper()
 	ana, err := multichannel.Analyze(mc)
@@ -174,6 +184,13 @@ func checkMultiChannelPair(t *testing.T, scr *Scratch, mc multichannel.Config) b
 	}
 	if !ana.Deterministic {
 		return false
+	}
+	pair, err := NewMultiChannelPair(mc)
+	if err == nil {
+		err = pair.Tabulate()
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	var got phaseStats
 	for u := timebase.Ticks(0); u < mc.Ta; u++ {
@@ -184,6 +201,9 @@ func checkMultiChannelPair(t *testing.T, scr *Scratch, mc multichannel.Config) b
 			}
 			if !oc.Discovered {
 				t.Fatalf("%+v: offsets (%d, %d) missed within the worst case %d", mc, u, x, ana.WorstLatency)
+			}
+			if lat, ch, ok := pair.lookup(-u, -x, ana.WorstLatency); lat != oc.Latency || ch != oc.Channel || !ok {
+				t.Fatalf("%+v: offsets (%d, %d): kernel %+v, table (%d, %d, %v)", mc, u, x, oc, lat, ch, ok)
 			}
 			got.add(oc.Latency)
 		}

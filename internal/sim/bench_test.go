@@ -240,7 +240,8 @@ func discoOneWay(tb testing.TB) (sender, listener schedule.Device, cfg Config) {
 // sets, but which runs the collision pass on a lone emitter), ble-fast's
 // jittered single-channel pair, whose every round replays the jitter
 // stream, a one-way Disco pair, whose misses pay for the doubling, and
-// ble3-fast's advertiser against a channel-cycling scanner.
+// ble3-fast's advertiser against a channel-cycling scanner — the quiet
+// ones also by lookup in their latency tables, as the engine runs them.
 func presetPairCases(tb testing.TB) []trialCase {
 	quick, quickWorst := optimalPreset(tb, 0.02)
 	sender, listener := schedule.Device{B: quick.E.B}, schedule.Device{C: quick.F.C}
@@ -250,6 +251,17 @@ func presetPairCases(tb testing.TB) []trialCase {
 	bleSender, bleListener, bleCfg := bleFastPreset(tb)
 	discoSender, discoListener, discoCfg := discoOneWay(tb)
 	mc, mcWorst := ble3FastPreset(tb)
+	quickTable := NewPair(sender, listener)
+	mcTable, err := NewMultiChannelPair(mc)
+	if err == nil {
+		err = mcTable.Tabulate()
+	}
+	if err == nil {
+		err = quickTable.Tabulate()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return []trialCase{
 		{"quickstart", func(rng *rand.Rand, scr *Scratch) error {
 			_, _, err := PairTrialScratch(sender, listener, quiet, rng, scr)
@@ -269,6 +281,14 @@ func presetPairCases(tb testing.TB) []trialCase {
 		}},
 		{"ble3-fast", func(rng *rand.Rand, scr *Scratch) error {
 			_, err := MultiChannelPairTrialScratch(mc, 3*mcWorst, rng, scr)
+			return err
+		}},
+		{"quickstart-table", func(rng *rand.Rand, scr *Scratch) error {
+			_, _, _, err := quickTable.TrialScratch(quiet, rng, scr)
+			return err
+		}},
+		{"ble3-fast-table", func(rng *rand.Rand, scr *Scratch) error {
+			_, _, _, err := mcTable.TrialScratch(Config{Horizon: 3 * mcWorst}, rng, scr)
 			return err
 		}},
 	}

@@ -23,9 +23,12 @@
 // the single-channel pair and the crowds then draw one seed for the
 // kernel's jitter stream. The four crowd kinds share one group builder
 // and one pair judge, and the three pair kinds one escalation runner,
-// which stops at the first reception (trial.go). Every output lives in
-// the arena until its next trial. Time is integer ticks. Every run is
-// deterministic given its seed.
+// which stops at the first reception (trial.go). A caller running many
+// trials of one single- or multi-channel pair prepares it once (Pair,
+// pair.go); on a quiet channel the prepared pair can answer trials from
+// its latency table, which the kernel entry points are the oracle of.
+// Every output lives in the arena until its next trial. Time is integer
+// ticks. Every run is deterministic given its seed.
 package sim
 
 import (

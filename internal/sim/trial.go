@@ -27,19 +27,28 @@ import (
 // whether discovery happened within the horizon. The trial runs on the
 // escalation runner, starting at one schedule cycle, the longer of e's
 // beacon period and f's window period, so it stops soon after the first
-// reception instead of generating every beacon up to the horizon.
+// reception instead of generating every beacon up to the horizon. A caller
+// running many trials of one pair prepares it once instead (NewPair), which
+// computes the runner's margin once and can answer quiet trials from a
+// latency table.
 func PairTrialScratch(e, f schedule.Device, cfg Config, rng *rand.Rand, scr *Scratch) (timebase.Ticks, bool, error) {
 	pe, pf := randPhase(rng, phaseSpan(e)), randPhase(rng, phaseSpan(f))
-	return scr.pairAt(e, f, pe, pf, cfg, rng.Int63())
+	return scr.pairAt(e, f, pe, pf, cfg, rng.Int63(), pairMargin(e, f))
+}
+
+// pairMargin is the single-channel runner's acceptance margin: the longest
+// beacon either node sends.
+func pairMargin(e, f schedule.Device) timebase.Ticks {
+	return max(longestBeacon(e.B), longestBeacon(f.B))
 }
 
 // pairAt runs the single-channel pair with e's schedules shifted by pe
-// and f's by pf, jitter drawn from a stream seeded with seed. Its margin
-// is the longest beacon either node sends. A receiver that transmits
+// and f's by pf, jitter drawn from a stream seeded with seed, on the
+// runner with acceptance margin pairMargin(e, f). A receiver that transmits
 // itself, with both jitter and collisions on, runs the full horizon at
 // once: its jitter draws follow the sender's, so they would shift with the
 // cut, and its packets can collide with the reception.
-func (s *Scratch) pairAt(e, f schedule.Device, pe, pf timebase.Ticks, cfg Config, seed int64) (timebase.Ticks, bool, error) {
+func (s *Scratch) pairAt(e, f schedule.Device, pe, pf timebase.Ticks, cfg Config, seed int64, margin timebase.Ticks) (timebase.Ticks, bool, error) {
 	nodes := s.worldNodes(2, 1)
 	nodes[0] = s.place(0, e.B, e.C, pe)
 	nodes[1] = s.place(1, f.B, f.C, pf)
@@ -47,7 +56,6 @@ func (s *Scratch) pairAt(e, f schedule.Device, pe, pf timebase.Ticks, cfg Config
 	if cfg.Jitter > 0 && cfg.Collisions && !f.B.Empty() {
 		start = cfg.Horizon
 	}
-	margin := max(longestBeacon(e.B), longestBeacon(f.B))
 	rec, ok, err := s.escalate(nodes, cfg, seed, start, margin, 0)
 	return rec.End, ok, err
 }

@@ -387,6 +387,12 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 						if tx.end > rDepart {
 							continue
 						}
+						// A collided packet is lost whatever window it
+						// lands in, and the skip tests commute, so the
+						// cheap flag goes before the window lookup.
+						if cfg.Collisions && tx.collided {
+							continue
+						}
 						// Window membership: reduce the start into the
 						// period and find the window covering it, if any.
 						rel := tx.start - ls.Phase
@@ -397,9 +403,6 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, rng *rand.Rand, scr *Scratch
 							continue
 						}
 						if cfg.TruncatedWindows && tx.end > k*period+win[wi].Start+win[wi].Len+ls.Phase {
-							continue
-						}
-						if cfg.Collisions && tx.collided {
 							continue
 						}
 						if cfg.HalfDuplex && n.transmitsDuring(r, tx.start, tx.end, scr) {
