@@ -20,6 +20,7 @@ test:
 # step. go test -fuzz takes one package and one target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime 15s ./internal/coverage
+	$(GO) test -run '^$$' -fuzz FuzzMultichannelMatchesReference -fuzztime 15s ./internal/multichannel
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzJournalManifest -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 15s ./internal/server

@@ -28,8 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
-	"math/bits"
 	"slices"
 
 	"repro/internal/interval"
@@ -128,23 +126,25 @@ func Analyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, e
 // model. Counting costs nothing beyond the sweep Analyze runs anyway, so a
 // caller can decide whether a table pays before building one.
 func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, int, error) {
-	s, err := newPairSweep(b, c, opt)
+	windows, err := listenerWindows(b, c, opt)
 	if err != nil {
 		return Result{}, 0, err
 	}
+	horizon, hyper := horizonBeacons(b, c.Period, opt)
+	s := newPairSweep(b, [][]schedule.Window{windows}, horizon, hyper)
 	mB := s.mB
 	var (
 		uncovered  timebase.Ticks
 		segments   int
 		minM, maxM = math.MaxInt, 0
-		lastFirst  int64                        // latest first-covering delay from beacon 0
-		minSecond  = int64(math.MaxInt64)       // earliest second-covering delay
-		lMax       = make([]int64, mB)          // per start: worst packet latency
-		lSum       = make([]uint128, mB)        // per start: Σ latency · segment length
-		failed     = mB                         // first start that leaves an offset uncovered
-		horizonEnd = int64(s.delays[s.horizon]) // beacon 0's horizon
+		lastFirst  int64                         // latest first-covering delay from beacon 0
+		minSecond  = int64(math.MaxInt64)        // earliest second-covering delay
+		lMax       = make([]int64, mB)           // per start: worst packet latency
+		lSum       = make([]timebase.Sum128, mB) // per start: Σ latency · segment length
+		failed     = mB                          // first start that leaves an offset uncovered
+		horizonEnd = int64(s.delays[horizon])    // beacon 0's horizon
+		sweep      interval.Sweeper
 	)
-	var sweep interval.Sweeper
 	sweep.Sweep(c.Period, s.items, func(iv interval.Interval, labels []int64) {
 		segments++
 		// The beacons of one period have delays below TB.
@@ -164,7 +164,7 @@ func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Option
 		if uncovered > 0 {
 			return // not deterministic: latencies are not reported
 		}
-		length, p := uint64(iv.Len()), 0
+		p := 0
 		for j := 0; j < mB; j++ {
 			first, ok := s.first(labels, j, &p)
 			if !ok {
@@ -173,11 +173,11 @@ func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Option
 			}
 			l := first - int64(s.delays[j])
 			lMax[j] = max(lMax[j], l)
-			lSum[j].addMul(uint64(l), length)
+			lSum[j].AddMul(timebase.Ticks(l), iv.Len())
 		}
 	})
 	entries := 0
-	if s.hyper > 0 && !opt.TruncatedWindows {
+	if hyper > 0 && !opt.TruncatedWindows {
 		entries = segments * mB
 	}
 
@@ -216,11 +216,11 @@ func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Option
 	var meanNum float64 // Σ_j λ_{j-1} · (E_Φ[l*_j] + λ_{j-1}/2)
 	for j := 0; j < mB; j++ {
 		l := timebase.Ticks(lMax[j]) + extra
-		lSum[j].addMul(uint64(extra), uint64(c.Period))
+		lSum[j].AddMul(extra, c.Period)
 		gapBefore := gaps[(j-1+mB)%mB]
 		worstPacket = max(worstPacket, l)
 		worst = max(worst, gapBefore+l)
-		lMean := lSum[j].float64() / float64(c.Period)
+		lMean := lSum[j].Float64() / float64(c.Period)
 		meanNum += float64(gapBefore) * (lMean + float64(gapBefore)/2)
 	}
 	res.WorstPacketLatency = worstPacket
@@ -229,9 +229,12 @@ func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Option
 	return res, entries, nil
 }
 
-// pairSweep is the sweep Analyze and NewTable share: beacon 0's images on
-// the circle [0, TC), one item per (beacon, useful window), each labeled
-// with its beacon's delay after beacon 0.
+// pairSweep is the one sweep behind every pair analysis: beacon 0's images
+// on the listener's cycle [0, TC), one item per (beacon, window that
+// beacon can land in), each labeled with its beacon's delay after beacon
+// 0. By Equation 3 starting beacon j's images are beacon 0's shifted by
+// its delay, so every start reads its latencies off the same segments
+// (first, kth).
 type pairSweep struct {
 	mB      int
 	horizon int              // beacons each start examines
@@ -240,41 +243,37 @@ type pairSweep struct {
 	items   []interval.Labeled
 }
 
-// newPairSweep validates the pair and lays out its sweep items: the
-// horizon's beacons, plus the mB−1 that later starts reach past a capped
-// horizon.
-func newPairSweep(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (pairSweep, error) {
-	if err := b.Validate(); err != nil {
-		return pairSweep{}, err
-	}
-	if err := c.Validate(); err != nil {
-		return pairSweep{}, err
-	}
-	if b.Empty() {
-		return pairSweep{}, errors.New("coverage: beacon sequence is empty")
-	}
-	if c.Empty() {
-		return pairSweep{}, errors.New("coverage: window sequence is empty")
-	}
-	windows, err := usefulWindows(c, opt, maxOmega(b))
-	if err != nil {
-		return pairSweep{}, err
-	}
-	s := pairSweep{mB: b.MB()}
-	s.horizon, s.hyper = horizonBeacons(b, c, opt)
+// newPairSweep lays out the sweep of sender b against windows: one list
+// of windows every beacon can land in, or one per beacon of a period,
+// beacon i's in windows[i]. It lists the horizon's beacons, plus the mB−1
+// that later starts reach past a capped horizon (hyper 0).
+func newPairSweep(b schedule.BeaconSeq, windows [][]schedule.Window, horizon int, hyper timebase.Ticks) pairSweep {
+	s := pairSweep{mB: b.MB(), horizon: horizon, hyper: hyper}
 	// Start j examines beacons j … j+horizon−1.
-	s.delays = beaconDelays(b, s.horizon+s.mB)
-	listed := s.horizon
-	if s.hyper == 0 {
+	s.delays = beaconDelays(b, horizon+s.mB)
+	listed := horizon
+	if hyper == 0 {
 		listed += s.mB - 1
 	}
-	s.items = make([]interval.Labeled, 0, listed*len(windows))
+	n := 0 // beacon i takes windows[i mod len(windows)]
+	for r, ws := range windows {
+		beacons := listed / len(windows)
+		if r < listed%len(windows) {
+			beacons++
+		}
+		n += beacons * len(ws)
+	}
+	s.items = make([]interval.Labeled, 0, n)
+	r := 0
 	for _, d := range s.delays[:listed] {
-		for _, w := range windows {
+		for _, w := range windows[r] {
 			s.items = append(s.items, interval.Labeled{Lo: w.Start - d, Length: w.Len, Label: int64(d)})
 		}
+		if r++; r == len(windows) {
+			r = 0
+		}
 	}
-	return s, nil
+	return s
 }
 
 // first returns the delay after beacon 0 of the beacon that start j
@@ -282,7 +281,8 @@ func newPairSweep(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (pair
 // (ascending, at least one): the first at or after beacon j within j's
 // horizon, or past it the first covering one a hyperperiod later. ok is
 // false when j's horizon ends first. p is a cursor into labels: a caller
-// passes 0 for its first start and then visits starts in increasing order.
+// passes 0 for its first start and then visits starts in increasing order,
+// and first leaves it at the first delay at or after beacon j's.
 func (s *pairSweep) first(labels []int64, j int, p *int) (delay int64, ok bool) {
 	q := *p
 	for q < len(labels) && labels[q] < int64(s.delays[j]) {
@@ -295,23 +295,46 @@ func (s *pairSweep) first(labels []int64, j int, p *int) (delay int64, ok bool) 
 	return labels[0] + int64(s.hyper), s.hyper > 0
 }
 
+// kth is first for the k-th (from 0) covering beacon from beacon j on. Over
+// a whole hyperperiod the listed beacons cover the offset again a
+// hyperperiod later each time, so the count wraps into the next
+// hyperperiods; a capped horizon ends it instead.
+func (s *pairSweep) kth(labels []int64, j, k int, p *int) (delay int64, ok bool) {
+	if _, ok := s.first(labels, j, p); !ok {
+		return 0, false
+	}
+	q := *p + k
+	if s.hyper > 0 {
+		return labels[q%len(labels)] + int64(q/len(labels))*int64(s.hyper), true
+	}
+	if q < len(labels) && labels[q] < int64(s.delays[j+s.horizon]) {
+		return labels[q], true
+	}
+	return 0, false
+}
+
 // Table is a pair's latency table on a quiet channel: the coverage map of
 // Section 4.1 kept per elementary segment instead of integrated. With
-// beacon 0 at offset x of the window period, the segment holding x fixes
-// which beacons land in a window, and so, for every starting beacon j, the
-// delay from j's start to the end of the first beacon received: the
-// latency the simulation kernel reports, which counts the received
-// beacon's own airtime. Beacon j then sits at offset x + (τj − τ0); every
-// start shares beacon 0's segments, so only the latencies are per start.
+// beacon 0 at offset x of the listener's cycle, the segment holding x fixes
+// which beacons land in a window, and so, for every starting beacon j,
+// which beacon j discovers with and after what delay. Beacon j then sits
+// at offset x + (τj − τ0): every start shares beacon 0's segments, and only
+// the entries are per start. Whether a latency counts the received
+// beacon's airtime, and what its index stands for, is the reader's
+// convention.
 type Table struct {
 	// Bounds are the segments' starts, ascending from 0: segment s covers
-	// beacon-0 offsets [Bounds[s], Bounds[s+1]), the last one up to TC.
+	// beacon-0 offsets [Bounds[s], Bounds[s+1]), the last one up to the
+	// end of the cycle.
 	Bounds []timebase.Ticks
 
-	// Latency holds, start-major, every start's latency per segment:
-	// Latency[j·len(Bounds)+s] for start j on segment s, or −1 where no
-	// beacon ever lands in a window.
-	Latency []timebase.Ticks
+	// Delay and Index hold one entry per segment and start, segment-major:
+	// entry s·mB + j is start j on segment s. Delay is the delay from
+	// start j's start to the start of the beacon received, or −1 where no
+	// beacon ever lands in a window; Index is that beacon's index within
+	// its period.
+	Delay []timebase.Ticks
+	Index []int32
 }
 
 // NewTable tabulates the latency of listener c discovering sender b on a
@@ -320,115 +343,124 @@ type Table struct {
 // spans more beacons than the analysis examines, since offsets it leaves
 // uncovered could still discover later.
 func NewTable(b schedule.BeaconSeq, c schedule.WindowSeq) (Table, error) {
-	s, err := newPairSweep(b, c, Options{})
+	windows, err := listenerWindows(b, c, Options{})
 	if err != nil {
 		return Table{}, err
 	}
-	if s.hyper == 0 {
-		return Table{}, fmt.Errorf("coverage: the hyperperiod of lcm(%d, %d) spans more than %d beacons; no latency table", b.Period, c.Period, s.horizon)
+	return newTable(b, c.Period, [][]schedule.Window{windows})
+}
+
+// NewChannelTable is NewTable for a sender that rotates channels within its
+// period: beacon i of every period goes out on channel i, against a
+// listener whose schedule on channel i is c[i], all of one period. A
+// beacon lands only in its own channel's windows, and a table entry's
+// Index is its channel. The BLE-style advertiser and scanner of package
+// multichannel are such a pair.
+func NewChannelTable(b schedule.BeaconSeq, c []schedule.WindowSeq) (Table, error) {
+	if err := b.Validate(); err != nil {
+		return Table{}, err
 	}
+	if b.Empty() {
+		return Table{}, errors.New("coverage: beacon sequence is empty")
+	}
+	if len(c) != b.MB() {
+		return Table{}, fmt.Errorf("coverage: %d beacons per period on as many channels, but %d channel schedules", b.MB(), len(c))
+	}
+	windows := make([][]schedule.Window, len(c))
+	for i, ci := range c {
+		if err := ci.Validate(); err != nil {
+			return Table{}, err
+		}
+		if ci.Period != c[0].Period {
+			return Table{}, fmt.Errorf("coverage: channel %d's cycle %d differs from channel 0's %d", i, ci.Period, c[0].Period)
+		}
+		windows[i] = ci.Windows
+	}
+	return newTable(b, c[0].Period, windows)
+}
+
+// newTable tabulates sender b against windows (newPairSweep) on the cycle
+// [0, period). It decides its refusal before laying out any item.
+func newTable(b schedule.BeaconSeq, period timebase.Ticks, windows [][]schedule.Window) (Table, error) {
+	horizon, hyper := horizonBeacons(b, period, Options{})
+	if hyper == 0 {
+		return Table{}, fmt.Errorf("coverage: the hyperperiod of lcm(%d, %d) spans more than %d beacons; no latency table", b.Period, period, horizon)
+	}
+	s := newPairSweep(b, windows, horizon, hyper)
 	var t Table
-	var bySegment []timebase.Ticks // segment-major while sweeping
 	var sweep interval.Sweeper
-	sweep.Sweep(c.Period, s.items, func(iv interval.Interval, labels []int64) {
+	sweep.Sweep(period, s.items, func(iv interval.Interval, labels []int64) {
 		t.Bounds = append(t.Bounds, iv.Lo)
 		p := 0
 		for j := 0; j < s.mB; j++ {
 			if len(labels) == 0 {
-				bySegment = append(bySegment, -1)
+				t.Delay = append(t.Delay, -1)
 				continue
 			}
 			// With a whole hyperperiod listed, every start discovers
-			// wherever beacon 0's images cover. The received beacon's
-			// airtime counts; delays grow with the beacon ordinal, so its
-			// delay within the hyperperiod finds it.
+			// wherever beacon 0's images cover.
 			first, _ := s.first(labels, j, &p)
-			i, _ := slices.BinarySearch(s.delays, timebase.Ticks(first)%s.hyper)
-			bySegment = append(bySegment, timebase.Ticks(first)-s.delays[j]+b.Beacons[i%s.mB].Len)
+			t.Delay = append(t.Delay, timebase.Ticks(first)-s.delays[j])
 		}
 	})
-	segs := len(t.Bounds)
-	t.Latency = make([]timebase.Ticks, len(bySegment))
-	for i, l := range bySegment {
-		t.Latency[(i%s.mB)*segs+i/s.mB] = l
+	// Delays grow with the beacon ordinal, so the received beacon's delay
+	// after beacon 0, within the hyperperiod, finds its index.
+	t.Index = make([]int32, len(t.Delay))
+	for seg := 0; seg < len(t.Delay); seg += s.mB {
+		for j, d := range t.Delay[seg : seg+s.mB] {
+			if d >= 0 {
+				i, _ := slices.BinarySearch(s.delays, (s.delays[j]+d)%hyper)
+				t.Index[seg+j] = int32(i % s.mB)
+			}
+		}
 	}
 	return t, nil
-}
-
-// LatencyProfile returns the exact packet-to-packet discovery latency as a
-// function of the initial offset Φ1, for the beacon sequence starting at
-// beacon startIdx. Segments with Count == 0 are uncovered offsets.
-func LatencyProfile(b schedule.BeaconSeq, c schedule.WindowSeq, startIdx int, opt Options) ([]interval.Segment, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if b.Empty() || c.Empty() {
-		return nil, errors.New("coverage: empty sequence")
-	}
-	windows, err := usefulWindows(c, opt, maxOmega(b))
-	if err != nil {
-		return nil, err
-	}
-	horizon, _ := horizonBeacons(b, c, opt)
-	start := startIdx % b.MB()
-	if start < 0 {
-		start += b.MB()
-	}
-	items, _ := coverageItems(b, windows, c.Period, start, horizon)
-	segs, _ := interval.SweepMin(c.Period, items)
-	return segs, nil
 }
 
 // QWorstLatency computes the worst-case latency until an offset has been
 // covered by q distinct beacons — the Appendix B redundancy metric L(Pf):
 // a schedule that covers every offset q times gives each discovery attempt
 // q independent chances against collisions. Returns ok=false if some offset
-// is not covered q times within the hyperperiod horizon.
+// is not covered q times within the horizon. Over one hyperperiod the
+// images repeat, so the q-th covering beacon at or after a start is read
+// off the one sweep Analyze runs, wrapping into the next hyperperiods (kth).
 func QWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, q int, opt Options) (timebase.Ticks, bool, error) {
 	if q < 1 {
 		return 0, false, fmt.Errorf("coverage: q=%d must be ≥ 1", q)
 	}
-	if err := b.Validate(); err != nil {
-		return 0, false, err
-	}
-	if err := c.Validate(); err != nil {
-		return 0, false, err
-	}
-	if b.Empty() || c.Empty() {
-		return 0, false, errors.New("coverage: empty sequence")
-	}
-	windows, err := usefulWindows(c, opt, maxOmega(b))
+	windows, err := listenerWindows(b, c, opt)
 	if err != nil {
 		return 0, false, err
 	}
-	// The horizon must span q coverings: q hyperperiods always suffice
-	// (each hyperperiod repeats the full image set). An explicit
-	// MaxBeacons cap is honored verbatim.
-	horizon, _ := horizonBeacons(b, c, opt)
-	if opt.MaxBeacons == 0 {
+	// A capped horizon cannot wrap. MaxBeacons is honored verbatim; a
+	// hyperperiod past the analysis's beacon cap is examined over q caps'
+	// worth of beacons, as q hyperperiods would be.
+	horizon, hyper := horizonBeacons(b, c.Period, opt)
+	if hyper == 0 && opt.MaxBeacons == 0 {
 		horizon *= q
 	}
+	s := newPairSweep(b, [][]schedule.Window{windows}, horizon, hyper)
+	lMax := make([]int64, s.mB) // per start: the worst q-th delay
+	covered := true
+	var sweep interval.Sweeper
+	sweep.Sweep(c.Period, s.items, func(_ interval.Interval, labels []int64) {
+		if len(labels) == 0 {
+			covered = false
+		}
+		p := 0
+		for j := 0; covered && j < s.mB; j++ {
+			d, ok := s.kth(labels, j, q-1, &p)
+			covered = ok
+			lMax[j] = max(lMax[j], d-int64(s.delays[j]))
+		}
+	})
+	if !covered {
+		return 0, false, nil
+	}
 	gaps := b.Gaps()
-	mB := b.MB()
 	var worst timebase.Ticks
-	for j := 0; j < mB; j++ {
-		items, _ := coverageItems(b, windows, c.Period, j, horizon)
-		segs, cov := interval.SweepKth(c.Period, items, q)
-		if !cov {
-			return 0, false, nil
-		}
-		var lMax timebase.Ticks
-		for _, seg := range segs {
-			if l := timebase.Ticks(seg.Label); l > lMax {
-				lMax = l
-			}
-		}
-		if l := gaps[(j-1+mB)%mB] + lMax; l > worst {
-			worst = l
-		}
+	for j, l := range lMax {
+		worst = max(worst, gaps[(j-1+s.mB)%s.mB]+timebase.Ticks(l))
 	}
 	return worst, true, nil
 }
@@ -528,7 +560,7 @@ func BruteForceWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, step tim
 	for _, w := range windows {
 		wset.Add(w.Start, w.Len)
 	}
-	horizon, _ := horizonBeacons(b, c, opt)
+	horizon, _ := horizonBeacons(b, c.Period, opt)
 	gaps := b.Gaps()
 	mB := b.MB()
 	extra := timebase.Ticks(0)
@@ -574,6 +606,24 @@ func BruteForceWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, step tim
 
 // --- internals ---
 
+// listenerWindows validates the single-channel pair (b, c) and returns the
+// windows every beacon of b can land in: all of c's useful windows.
+func listenerWindows(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) ([]schedule.Window, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if b.Empty() {
+		return nil, errors.New("coverage: beacon sequence is empty")
+	}
+	if c.Empty() {
+		return nil, errors.New("coverage: window sequence is empty")
+	}
+	return usefulWindows(c, opt, maxOmega(b))
+}
+
 // usefulWindows returns the windows to use for coverage, shrunk by ω when
 // Options.TruncatedWindows is set.
 func usefulWindows(c schedule.WindowSeq, opt Options, omega timebase.Ticks) ([]schedule.Window, error) {
@@ -600,15 +650,15 @@ func maxOmega(b schedule.BeaconSeq) timebase.Ticks {
 	return m
 }
 
-// horizonBeacons returns how many consecutive beacons to examine: one full
-// hyperperiod's worth (images repeat after lcm(TB, TC)), or the caller's
-// cap. hyper is the hyperperiod when the horizon spans exactly one, and 0
-// when a cap cut it.
-func horizonBeacons(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (n int, hyper timebase.Ticks) {
+// horizonBeacons returns how many consecutive beacons of b to examine
+// against a listener cycle of tc: one full hyperperiod's worth (images
+// repeat after lcm(TB, TC)), or the caller's cap. hyper is the
+// hyperperiod when the horizon spans exactly one, and 0 when a cap cut it.
+func horizonBeacons(b schedule.BeaconSeq, tc timebase.Ticks, opt Options) (n int, hyper timebase.Ticks) {
 	if opt.MaxBeacons > 0 {
 		return opt.MaxBeacons, 0
 	}
-	hp := timebase.LCM(b.Period, c.Period)
+	hp := timebase.LCM(b.Period, tc)
 	beacons := hp / b.Period * timebase.Ticks(b.MB())
 	const maxHorizon = 4 << 20
 	if beacons > maxHorizon {
@@ -630,51 +680,4 @@ func beaconDelays(b schedule.BeaconSeq, n int) []timebase.Ticks {
 		delays[i] = timebase.Ticks(i/mB)*b.Period + b.Beacons[i%mB].Time - first
 	}
 	return delays
-}
-
-// uint128 is an exact unsigned 128-bit sum: a latency-weighted length
-// summed over a long horizon can exceed int64.
-type uint128 struct{ hi, lo uint64 }
-
-func (u *uint128) addMul(x, y uint64) {
-	hi, lo := bits.Mul64(x, y)
-	var carry uint64
-	u.lo, carry = bits.Add64(u.lo, lo, 0)
-	u.hi += hi + carry
-}
-
-// float64 returns u rounded to the nearest float64.
-func (u uint128) float64() float64 {
-	if u.hi == 0 {
-		return float64(u.lo)
-	}
-	x := new(big.Int).Lsh(new(big.Int).SetUint64(u.hi), 64)
-	f, _ := new(big.Float).SetInt(x.Or(x, new(big.Int).SetUint64(u.lo))).Float64()
-	return f
-}
-
-// coverageItems builds the labeled intervals for a beacon sequence starting
-// at beacon startIdx: one item per (beacon, window) pair, labeled with the
-// packet-to-packet delay τi − τstart. It also returns the per-beacon delays.
-func coverageItems(b schedule.BeaconSeq, windows []schedule.Window, tc timebase.Ticks, startIdx int, horizon int) ([]interval.Labeled, []timebase.Ticks) {
-	first := b.Beacons[startIdx].Time
-	end := first + timebase.CeilDiv(timebase.Ticks(horizon), timebase.Ticks(b.MB()))*b.Period + b.Period
-	beacons := b.BeaconsWithin(first, end)
-	if len(beacons) > horizon {
-		beacons = beacons[:horizon]
-	}
-	items := make([]interval.Labeled, 0, len(beacons)*len(windows))
-	delays := make([]timebase.Ticks, len(beacons))
-	for i, bc := range beacons {
-		delay := bc.Time - first
-		delays[i] = delay
-		for _, w := range windows {
-			items = append(items, interval.Labeled{
-				Lo:     w.Start - delay,
-				Length: w.Len,
-				Label:  int64(delay),
-			})
-		}
-	}
-	return items, delays
 }

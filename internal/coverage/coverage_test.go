@@ -166,29 +166,34 @@ func TestMapMatchesAnalyzeDeterminism(t *testing.T) {
 	}
 }
 
-func TestLatencyProfileTiles(t *testing.T) {
+// TestTableTiles: on the optimal pair of Section 5.1 the beacon images
+// tile the circle, so every start's table entries give each of the four
+// beacon delays {0, 30, 60, 90} exactly d = 10 ticks of offsets, and the
+// beacon received at delay 30·i after start j is beacon j+i of its period.
+func TestTableTiles(t *testing.T) {
 	b, c := optimalPair(t, 10, 4, 2)
-	segs, err := LatencyProfile(b, c, 0, Options{})
+	tab, err := NewTable(b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total timebase.Ticks
-	seen := map[int64]timebase.Ticks{}
-	for _, seg := range segs {
-		if seg.Count == 0 {
-			t.Errorf("uncovered segment %v", seg.Iv)
-			continue
+	mB := b.MB()
+	for j := 0; j < mB; j++ {
+		seen := map[timebase.Ticks]timebase.Ticks{}
+		for s, lo := range tab.Bounds {
+			hi := c.Period
+			if s+1 < len(tab.Bounds) {
+				hi = tab.Bounds[s+1]
+			}
+			d, i := tab.Delay[s*mB+j], int(tab.Index[s*mB+j])
+			if d < 0 || d%30 != 0 || i != (j+int(d/30))%mB {
+				t.Fatalf("start %d, segment [%d, %d): delay %d, index %d", j, lo, hi, d, i)
+			}
+			seen[d] += hi - lo
 		}
-		total += seg.Iv.Len()
-		seen[seg.Label] += seg.Iv.Len()
-	}
-	if total != c.Period {
-		t.Errorf("segments cover %d, want %d", total, c.Period)
-	}
-	// Each of the 4 beacon delays {0,30,60,90} should own exactly d=10 ticks.
-	for _, delay := range []int64{0, 30, 60, 90} {
-		if seen[delay] != 10 {
-			t.Errorf("delay %d owns %d ticks, want 10", delay, seen[delay])
+		for _, d := range []timebase.Ticks{0, 30, 60, 90} {
+			if seen[d] != 10 {
+				t.Errorf("start %d: delay %d owns %d ticks, want 10", j, d, seen[d])
+			}
 		}
 	}
 }
@@ -437,9 +442,9 @@ func TestTableSizeMatchesTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n == 0 || n != len(tab.Latency) || n != len(tab.Bounds)*b.MB() {
+		if n == 0 || n != len(tab.Delay) || n != len(tab.Index) || n != len(tab.Bounds)*b.MB() {
 			t.Fatalf("%v / %v: analysis counts %d entries, table has %d (%d segments × %d starts)",
-				b, c, n, len(tab.Latency), len(tab.Bounds), b.MB())
+				b, c, n, len(tab.Delay), len(tab.Bounds), b.MB())
 		}
 		// A capped horizon may also fail a later start; the count is 0
 		// either way.

@@ -39,7 +39,7 @@ func referenceAnalyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (
 		return Result{}, err
 	}
 
-	horizon, _ := horizonBeacons(b, c, opt)
+	horizon, _ := horizonBeacons(b, c.Period, opt)
 
 	gaps := b.Gaps()
 	mB := b.MB()
@@ -172,6 +172,82 @@ func multiplicityPerPeriod(b schedule.BeaconSeq, windows []schedule.Window, tc t
 		minM = 0
 	}
 	return minM, maxM
+}
+
+// coverageItems builds the labeled intervals for a beacon sequence starting
+// at beacon startIdx: one item per (beacon, window) pair, labeled with the
+// packet-to-packet delay τi − τstart. It also returns the per-beacon delays.
+func coverageItems(b schedule.BeaconSeq, windows []schedule.Window, tc timebase.Ticks, startIdx int, horizon int) ([]interval.Labeled, []timebase.Ticks) {
+	first := b.Beacons[startIdx].Time
+	end := first + timebase.CeilDiv(timebase.Ticks(horizon), timebase.Ticks(b.MB()))*b.Period + b.Period
+	beacons := b.BeaconsWithin(first, end)
+	if len(beacons) > horizon {
+		beacons = beacons[:horizon]
+	}
+	items := make([]interval.Labeled, 0, len(beacons)*len(windows))
+	delays := make([]timebase.Ticks, len(beacons))
+	for i, bc := range beacons {
+		delay := bc.Time - first
+		delays[i] = delay
+		for _, w := range windows {
+			items = append(items, interval.Labeled{
+				Lo:     w.Start - delay,
+				Length: w.Len,
+				Label:  int64(delay),
+			})
+		}
+	}
+	return items, delays
+}
+
+// referenceQWorstLatency is the QWorstLatency that swept every starting
+// beacon separately, over q hyperperiods of its beacons: one
+// interval.SweepKth per start. It stays here as the reference that the
+// one-sweep QWorstLatency must match.
+func referenceQWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, q int, opt Options) (timebase.Ticks, bool, error) {
+	if q < 1 {
+		return 0, false, fmt.Errorf("coverage: q=%d must be ≥ 1", q)
+	}
+	if err := b.Validate(); err != nil {
+		return 0, false, err
+	}
+	if err := c.Validate(); err != nil {
+		return 0, false, err
+	}
+	if b.Empty() || c.Empty() {
+		return 0, false, errors.New("coverage: empty sequence")
+	}
+	windows, err := usefulWindows(c, opt, maxOmega(b))
+	if err != nil {
+		return 0, false, err
+	}
+	// The horizon must span q coverings: q hyperperiods always suffice
+	// (each hyperperiod repeats the full image set). An explicit
+	// MaxBeacons cap is honored verbatim.
+	horizon, _ := horizonBeacons(b, c.Period, opt)
+	if opt.MaxBeacons == 0 {
+		horizon *= q
+	}
+	gaps := b.Gaps()
+	mB := b.MB()
+	var worst timebase.Ticks
+	for j := 0; j < mB; j++ {
+		items, _ := coverageItems(b, windows, c.Period, j, horizon)
+		segs, cov := interval.SweepKth(c.Period, items, q)
+		if !cov {
+			return 0, false, nil
+		}
+		var lMax timebase.Ticks
+		for _, seg := range segs {
+			if l := timebase.Ticks(seg.Label); l > lMax {
+				lMax = l
+			}
+		}
+		if l := gaps[(j-1+mB)%mB] + lMax; l > worst {
+			worst = l
+		}
+	}
+	return worst, true, nil
 }
 
 func coveredFraction(segs []interval.Segment, period timebase.Ticks) float64 {
@@ -342,6 +418,56 @@ func TestAnalyzeStartBeaconErrorMatchesReference(t *testing.T) {
 	}
 }
 
+// TestQWorstLatencyMatchesReference drives QWorstLatency and the per-start
+// SweepKth reference over random pairs for q from 1 to 4, with MaxBeacons
+// caps below and above mB and truncated windows, and requires the same
+// latency, coverage verdict and error. It counts the outcomes it reached,
+// so a generator that stops producing covered, uncovered or capped pairs
+// fails the test.
+func TestQWorstLatencyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var covered, uncovered, capsBelow, capsAbove, truncated, wrapped int
+	for trial := 0; trial < 4000; trial++ {
+		b, c := randomPair(t, rng)
+		q := 1 + rng.Intn(4)
+		opt := Options{TruncatedWindows: rng.Intn(4) == 0}
+		switch rng.Intn(3) {
+		case 0:
+			opt.MaxBeacons = 1 + rng.Intn(b.MB())
+			if opt.MaxBeacons < b.MB() {
+				capsBelow++
+			}
+		case 1:
+			opt.MaxBeacons = b.MB() + 1 + rng.Intn(40)
+			capsAbove++
+		}
+		got, gotOK, gotErr := QWorstLatency(b, c, q, opt)
+		want, wantOK, wantErr := referenceQWorstLatency(b, c, q, opt)
+		if got != want || gotOK != wantOK || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("B=%+v C=%+v q=%d opt=%+v: (%d, %v, %v), reference (%d, %v, %v)",
+				b, c, q, opt, got, gotOK, gotErr, want, wantOK, wantErr)
+		}
+		switch {
+		case gotErr != nil:
+		case gotOK:
+			covered++
+			if opt.TruncatedWindows {
+				truncated++
+			}
+			if _, hyper := horizonBeacons(b, c.Period, opt); hyper > 0 && q > 1 {
+				wrapped++
+			}
+		default:
+			uncovered++
+		}
+	}
+	t.Logf("covered %d (truncated %d, q > 1 over a hyperperiod %d), uncovered %d, caps below mB %d, above %d",
+		covered, truncated, wrapped, uncovered, capsBelow, capsAbove)
+	if covered < 1000 || uncovered < 500 || truncated < 100 || wrapped < 300 || capsBelow < 200 || capsAbove < 500 {
+		t.Error("random pairs no longer reach every kind of outcome")
+	}
+}
+
 // encodePair writes a schedule pair in the fuzz input format read by
 // decodePair.
 func encodePair(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) []byte {
@@ -419,7 +545,7 @@ func decodePair(data []byte) (b schedule.BeaconSeq, c schedule.WindowSeq, opt Op
 		return b, c, opt, false
 	}
 	// The reference sweeps horizon·nC items once per starting beacon.
-	horizon, _ := horizonBeacons(b, c, opt)
+	horizon, _ := horizonBeacons(b, c.Period, opt)
 	return b, c, opt, horizon*c.NC()*b.MB() <= 1<<16
 }
 

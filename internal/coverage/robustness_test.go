@@ -1,7 +1,6 @@
 package coverage
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/schedule"
@@ -115,26 +114,6 @@ func TestAnalyzeBeaconLongerThanWindow(t *testing.T) {
 	}
 	if _, err := Analyze(b, c, Options{TruncatedWindows: true}); err == nil {
 		t.Error("A.3 semantics must reject ω ≥ d")
-	}
-}
-
-// TestLatencyProfileStartIndexWraps: start indices beyond mB, and
-// negative ones, wrap modulo mB.
-func TestLatencyProfileStartIndexWraps(t *testing.T) {
-	c, _ := schedule.NewUniformWindows(10, 4)
-	b, _ := schedule.NewEqualGapBeacons(4, 30, 2, 0)
-	for _, tc := range []struct{ start, same int }{{4, 0}, {-4, 0}, {-1, 3}} {
-		want, err := LatencyProfile(b, c, tc.same, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := LatencyProfile(b, c, tc.start, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("profile from start %d differs from start %d (mod mB)", tc.start, tc.same)
-		}
 	}
 }
 

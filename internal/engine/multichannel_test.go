@@ -297,6 +297,14 @@ func TestNewKindsValidation(t *testing.T) {
 	if _, err := RunScenario(striped, Options{}); err == nil || !strings.Contains(err.Error(), "striped") {
 		t.Errorf("striped slot-searchlight should be rejected, got %v", err)
 	}
+
+	// Explicit intervals whose hyperperiod holds 8,999,847 PDUs, past the
+	// analysis's 2^22-beacon horizon: the scenario fails with the cap.
+	huge := base
+	huge.Protocol.Ta, huge.Protocol.Ts, huge.Protocol.Ds = 1_000_003, 999_983, 30_000
+	if _, err := RunScenario(huge, Options{}); err == nil || !strings.Contains(err.Error(), "spans more than 4194304 beacons") {
+		t.Errorf("a hyperperiod past the beacon cap should fail the scenario, got %v", err)
+	}
 }
 
 // TestMultiChannelConfigPresetFillIn: the preset supplies whatever timing

@@ -79,3 +79,34 @@ func TestPairTablePointsMatchKernel(t *testing.T) {
 		})
 	}
 }
+
+// TestMultiChannelTableEntries pins the table entry counts of the
+// registry's multi-channel pair points, which decide whether the gate
+// tabulates them: ble3-fast and the three points of sweep-channels.
+func TestMultiChannelTableEntries(t *testing.T) {
+	sc, err := Preset("ble3-fast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := []Scenario{sc}
+	sp, err := SweepPreset("sweep-channels")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points = append(points, swept...)
+	var got []int
+	for _, sc := range points {
+		b, err := build(sc.Protocol, sc.Population)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, b.TableEntries)
+	}
+	if want := []int{81, 3, 24, 81}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ble3-fast and sweep-channels count %v table entries, want %v", got, want)
+	}
+}

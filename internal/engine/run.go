@@ -231,14 +231,7 @@ func (p *point) finalize(rec *runRecorder) {
 		p.snap = p.makeSnapshot(acc)
 	}
 	if p.fullRange() {
-		if p.exact {
-			// The snapshot keeps the empty (but layout-valid) accumulator
-			// so shard merges work unchanged; the aggregate comes from the
-			// analysis, not from the zero samples.
-			p.agg = aggregateAnalysis(p.sc, p.b, p.horizon)
-		} else {
-			p.agg = acc.aggregate(p.sc, p.b, p.quantized)
-		}
+		p.agg = p.aggregate(acc)
 	}
 	// Runtime is a trial-execution record; an exact point never starts a
 	// trial, so it carries none.
@@ -277,6 +270,18 @@ func (p *point) makeSnapshot(acc *Accum) *PointSnapshot {
 		TrialHi:  p.hi,
 		Accum:    acc,
 	}
+}
+
+// aggregate turns the point's merged full-range accumulator into its
+// Aggregate: an exact point's comes from the analysis (its accumulator is
+// empty but layout-valid, so shard merges work unchanged), any other from
+// the samples. Unsharded runs and shard merges both finalize through it,
+// which keeps their documents byte-identical.
+func (p *point) aggregate(acc *Accum) Aggregate {
+	if p.exact {
+		return aggregateAnalysis(p.sc, p.b, p.horizon)
+	}
+	return acc.aggregate(p.sc, p.b, p.quantized)
 }
 
 // exactEligible gates the exact-analysis fast path: the coverage analysis

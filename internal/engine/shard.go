@@ -407,7 +407,8 @@ func mergeShardPoints(sorted []Snapshot) ([]PointSnapshot, error) {
 // finalizePoint turns one full-range PointSnapshot into its Aggregate: it
 // rebuilds the scenario's schedules and horizon exactly as prepare does,
 // checks the state's layout against them, and runs the same finalizer an
-// unsharded run uses — so the result is byte-identical by construction.
+// unsharded run uses (point.aggregate) — so the result is byte-identical by
+// construction.
 func finalizePoint(ps PointSnapshot) (Aggregate, error) {
 	if err := ps.validate(ShardSpec{}); err != nil {
 		return Aggregate{}, err
@@ -421,13 +422,7 @@ func finalizePoint(ps PointSnapshot) (Aggregate, error) {
 	if err := p.newAccum().sameLayout(ps.Accum); err != nil {
 		return Aggregate{}, fmt.Errorf("engine: point %q: snapshot does not match its scenario: %w", ps.Name, err)
 	}
-	if p.exact {
-		// Same synthesis as an unsharded run's finalize: the snapshot's
-		// accumulator is empty by construction, and the answer comes from
-		// the analysis.
-		return aggregateAnalysis(p.sc, p.b, p.horizon), nil
-	}
-	return ps.Accum.aggregate(p.sc, p.b, p.quantized), nil
+	return p.aggregate(ps.Accum), nil
 }
 
 // MergeSnapshots merges a complete shard set (every shard 1..n of one

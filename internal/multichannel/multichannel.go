@@ -8,20 +8,27 @@
 // so the effective discovery problem is the union of three phase-locked
 // single-channel problems.
 //
-// This package computes the exact worst-case multi-channel discovery
-// latency with the same interval-sweep technique as package coverage: the
-// scanner's channel schedule repeats with period channels·Ts (the
-// analysis circle), every advertising event contributes one offset
-// interval per (PDU, matching window) pair, and the labeled sweep yields
-// the per-offset first-success delay. The engine's "multichannel" kinds
-// pair this analysis (including the per-starting-PDU branch stats) with
-// the multi-channel Monte-Carlo trials of package sim.
+// This package computes the exact multi-channel discovery latency with
+// package coverage's one sweep: the scanner's channel schedule repeats
+// with period Channels·Ts (the analysis circle), the advertiser is a
+// beacon sequence whose PDU c goes out on channel c, and each PDU's images
+// fall only in its own channel's scan window (Schedules). Starting PDU j's
+// branch, range entry just before PDU j, is coverage's start j, so one
+// sorted sweep of PDU 0's images over one hyperperiod gives every branch
+// (coverage.NewChannelTable), and Analyze folds that table with exact
+// integer sums. Like every coverage analysis it examines at most 2^22 PDUs
+// per hyperperiod, and refuses a configuration past that cap. The engine's
+// "multichannel" kinds pair this analysis (including the per-starting-PDU
+// branch stats) with the multi-channel Monte-Carlo trials of package sim,
+// which run the same layout. Karowski & Miller (arXiv 1506.05255) model
+// the same ensemble.
 package multichannel
 
 import (
 	"fmt"
 
-	"repro/internal/interval"
+	"repro/internal/coverage"
+	"repro/internal/schedule"
 	"repro/internal/timebase"
 )
 
@@ -109,12 +116,6 @@ type Branch struct {
 	Mean float64
 }
 
-// pdu is one advertising PDU within the repeating event.
-type pdu struct {
-	channel int
-	offset  timebase.Ticks // start relative to the event start
-}
-
 // Analyze computes the exact worst-case discovery latency of the
 // configuration, sweeping all relative phases between advertiser and
 // scanner.
@@ -124,43 +125,59 @@ func Analyze(cfg Config) (Result, error) {
 }
 
 // AnalyzeWithTableSize is Analyze that also returns the entry count of the
-// configuration's latency table: Analyze folds the table (NewTable), so the
-// count comes free.
+// configuration's latency table, so the count comes free. The table is
+// coverage's table of the advertiser against the scanner's channels
+// (Schedules), whose start j is starting PDU j: an entry's delay runs from
+// PDU j's start to the start of the first PDU received, and its index is
+// that PDU's channel. Like every coverage table it spans one hyperperiod of
+// advertiser and scanner, and it is refused for a configuration whose
+// hyperperiod holds more PDUs than coverage's beacon cap.
 func AnalyzeWithTableSize(cfg Config) (Result, int, error) {
-	t, err := NewTable(cfg)
+	if err := cfg.Validate(); err != nil {
+		return Result{}, 0, err
+	}
+	adv, scan := cfg.Schedules()
+	t, err := coverage.NewChannelTable(adv, scan)
 	if err != nil {
 		return Result{}, 0, err
 	}
-	circle := timebase.Ticks(cfg.Channels) * cfg.Ts // scanner channel cycle
-	pdus := eventPDUs(cfg)
+	circle := scan[0].Period // the scanner's channel cycle
+	n := cfg.Channels
+
+	// Per branch j, over the PDU-0 offsets where it ever discovers: their
+	// measure, the largest latency, and the exact Σ latency · length, so
+	// the fold does not depend on the segments' order.
+	covSum := make([]timebase.Ticks, n)
+	lMax := make([]timebase.Ticks, n)
+	lSum := make([]timebase.Sum128, n)
+	for s, lo := range t.Bounds {
+		hi := circle
+		if s+1 < len(t.Bounds) {
+			hi = t.Bounds[s+1]
+		}
+		for j, l := range t.Delay[s*n : (s+1)*n] {
+			if l < 0 {
+				continue
+			}
+			covSum[j] += hi - lo
+			lMax[j] = max(lMax[j], l)
+			lSum[j].AddMul(l, hi-lo)
+		}
+	}
 
 	var (
 		worst     timebase.Ticks
 		meanNum   float64
 		coveredOK = true
 		coveredW  float64 // Σ_j gap_j · covered_j, in ticks²
-		entries   int
-		branches  = make([]Branch, 0, cfg.Channels)
+		branches  = make([]Branch, 0, n)
 	)
 	// Starting PDU j: range entry can fall anywhere in the gap before it.
 	// Gaps within an event are IFS-scale; the gap before PDU 0 spans back
 	// to the previous event's last PDU.
-	for j, segs := range t {
-		entries += len(segs)
-		var lMax timebase.Ticks
-		var lSum float64
-		var covSum timebase.Ticks
-		for _, seg := range segs {
-			if seg.Count == 0 {
-				continue
-			}
-			covSum += seg.Iv.Len()
-			if l := timebase.Ticks(seg.Label); l > lMax {
-				lMax = l
-			}
-			lSum += float64(seg.Label) * float64(seg.Iv.Len())
-		}
-		cov := covSum == circle
+	gaps := adv.Gaps()
+	for j := 0; j < n; j++ {
+		cov := covSum[j] == circle
 		if !cov {
 			coveredOK = false
 		}
@@ -168,29 +185,27 @@ func AnalyzeWithTableSize(cfg Config) (Result, int, error) {
 		// gapBefore/Ta, and within that branch a fraction covSum/circle
 		// of offsets ever discovers — so the overall covered fraction is
 		// the gap-weighted mean over all starting PDUs, not branch 0's
-		// coverage alone (branches differ whenever the channel/window
-		// geometry does).
-		gapBefore := gapBeforePDU(cfg, pdus, j)
-		coveredW += float64(gapBefore) * float64(covSum)
+		// coverage alone.
+		gapBefore := gaps[(j-1+n)%n]
+		coveredW += float64(gapBefore) * float64(covSum[j])
 		br := Branch{
 			PDU:       j,
 			EntryProb: float64(gapBefore) / float64(cfg.Ta),
-			Covered:   float64(covSum) / float64(circle),
+			Covered:   float64(covSum[j]) / float64(circle),
 		}
-		if covSum > 0 {
+		sum := lSum[j].Float64()
+		if covSum[j] > 0 {
 			// Branch latency over discovering offsets: the expected
 			// remaining gap (gap/2 for uniform entry) plus the mean label
 			// over the covered offsets; the branch worst is the full gap
 			// plus the largest label.
-			br.Worst = gapBefore + lMax
-			br.Mean = lSum/float64(covSum) + float64(gapBefore)/2
+			br.Worst = gapBefore + lMax[j]
+			br.Mean = sum/float64(covSum[j]) + float64(gapBefore)/2
 		}
 		branches = append(branches, br)
 		if cov {
-			if l := gapBefore + lMax; l > worst {
-				worst = l
-			}
-			meanNum += float64(gapBefore) * (lSum/float64(circle) + float64(gapBefore)/2)
+			worst = max(worst, gapBefore+lMax[j])
+			meanNum += float64(gapBefore) * (sum/float64(circle) + float64(gapBefore)/2)
 		}
 	}
 	res := Result{
@@ -202,78 +217,25 @@ func AnalyzeWithTableSize(cfg Config) (Result, int, error) {
 		res.WorstLatency = worst
 		res.MeanLatency = meanNum / float64(cfg.Ta)
 	}
-	return res, entries, nil
+	return res, len(t.Delay), nil
 }
 
-// Table is a configuration's latency table: for every starting PDU j, the
-// elementary segments of branch j over the scanner's channel cycle
-// [0, Channels·Ts). With PDU j starting at offset φ of the cycle, the
-// segment holding φ labels the delay from PDU j's start to the start of
-// the first PDU received; a segment of Count 0 never discovers.
-type Table [][]interval.Segment
-
-// NewTable sweeps every branch j, range entry just before PDU j, over the
-// scanner's channel cycle: every PDU from PDU j on, over one hyperperiod
-// of advertiser and scanner, contributes one offset interval labeled with
-// its delay after PDU j. The images repeat after the hyperperiod, so an
-// offset no PDU covers by then never discovers.
-func NewTable(cfg Config) (Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	circle := timebase.Ticks(cfg.Channels) * cfg.Ts
-	// Scanner window for channel c sits at the end of interval c within
-	// the cycle: [c·Ts + Ts − Ds, (c+1)·Ts).
-	winStart := func(ch int) timebase.Ticks {
-		return timebase.Ticks(ch)*cfg.Ts + cfg.Ts - cfg.Ds
-	}
-	// Beacon occurrences repeat with period Ta; their images on the
-	// circle repeat after the hyperperiod.
-	hyper := timebase.LCM(cfg.Ta, circle)
-	events := int(hyper / cfg.Ta)
-	if events < 1 {
-		events = 1
-	}
-	pdus := eventPDUs(cfg)
-	t := make(Table, cfg.Channels)
-	for j := range t {
-		var items []interval.Labeled
-		start := pdus[j].offset
-		for e := 0; e < events+1; e++ {
-			for _, p := range pdus {
-				at := timebase.Ticks(e)*cfg.Ta + p.offset
-				if at < start {
-					continue
-				}
-				delay := at - start
-				items = append(items, interval.Labeled{
-					Lo:     winStart(p.channel) - delay,
-					Length: cfg.Ds,
-					Label:  int64(delay),
-				})
-			}
+// Schedules lays the pair out once, for the exact analysis and the
+// simulation kernel alike: the advertiser's event as one beacon sequence
+// of period Ta, PDU c on channel c at c·(Omega + IFS), and the scanner's
+// listening on each channel over the channel cycle Channels·Ts, channel
+// c's window the last Ds of scan interval c.
+func (c Config) Schedules() (adv schedule.BeaconSeq, scan []schedule.WindowSeq) {
+	adv = schedule.BeaconSeq{Beacons: make([]schedule.Beacon, c.Channels), Period: c.Ta}
+	scan = make([]schedule.WindowSeq, c.Channels)
+	for ch := range scan {
+		adv.Beacons[ch] = schedule.Beacon{Time: timebase.Ticks(ch) * (c.Omega + c.IFS), Len: c.Omega}
+		scan[ch] = schedule.WindowSeq{
+			Windows: []schedule.Window{{Start: timebase.Ticks(ch)*c.Ts + c.Ts - c.Ds, Len: c.Ds}},
+			Period:  timebase.Ticks(c.Channels) * c.Ts,
 		}
-		t[j], _ = interval.SweepMin(circle, items)
 	}
-	return t, nil
-}
-
-// eventPDUs lays out the PDUs of one advertising event.
-func eventPDUs(cfg Config) []pdu {
-	pdus := make([]pdu, cfg.Channels)
-	for i := range pdus {
-		pdus[i] = pdu{channel: i, offset: timebase.Ticks(i) * (cfg.Omega + cfg.IFS)}
-	}
-	return pdus
-}
-
-// gapBeforePDU returns the transmission gap preceding PDU j (start to
-// start), across the event boundary for j == 0.
-func gapBeforePDU(cfg Config, pdus []pdu, j int) timebase.Ticks {
-	if j > 0 {
-		return pdus[j].offset - pdus[j-1].offset
-	}
-	return cfg.Ta - pdus[len(pdus)-1].offset
+	return adv, scan
 }
 
 // BLE returns the standard 3-channel configuration for the given

@@ -3,10 +3,11 @@ package multichannel
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/coverage"
-	"repro/internal/interval"
 	"repro/internal/schedule"
 	"repro/internal/timebase"
 )
@@ -139,43 +140,15 @@ func TestMeanBelowWorst(t *testing.T) {
 	}
 }
 
-// branchCoverage mirrors Analyze's per-starting-PDU item construction and
-// returns branch j's covered fraction plus a per-tick coverage mask of the
-// scanner circle — the independent oracle for the coverage-weighting
-// regression test below.
+// branchCoverage returns branch j's covered fraction plus a per-tick
+// coverage mask of the scanner circle, read off the per-branch reference
+// sweep — the independent oracle for the coverage-weighting regression
+// test below.
 func branchCoverage(cfg Config, j int) (float64, []bool) {
 	circle := timebase.Ticks(cfg.Channels) * cfg.Ts
-	pdus := make([]pdu, cfg.Channels)
-	for i := range pdus {
-		pdus[i] = pdu{channel: i, offset: timebase.Ticks(i) * (cfg.Omega + cfg.IFS)}
-	}
-	winStart := func(ch int) timebase.Ticks {
-		return timebase.Ticks(ch)*cfg.Ts + cfg.Ts - cfg.Ds
-	}
-	hyper := timebase.LCM(cfg.Ta, circle)
-	events := int(hyper / cfg.Ta)
-	if events < 1 {
-		events = 1
-	}
-	var items []interval.Labeled
-	start := pdus[j].offset
-	for e := 0; e < events+1; e++ {
-		for _, p := range pdus {
-			at := timebase.Ticks(e)*cfg.Ta + p.offset
-			if at < start {
-				continue
-			}
-			items = append(items, interval.Labeled{
-				Lo:     winStart(p.channel) - (at - start),
-				Length: cfg.Ds,
-				Label:  int64(at - start),
-			})
-		}
-	}
-	segs, _ := interval.SweepMin(circle, items)
 	var covered timebase.Ticks
 	mask := make([]bool, circle)
-	for _, seg := range segs {
+	for _, seg := range referenceBranches(cfg)[j] {
 		if seg.Count == 0 {
 			continue
 		}
@@ -205,17 +178,14 @@ func TestCoveredFractionWeighsAllBranches(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	pdus := make([]pdu, cfg.Channels)
-	for i := range pdus {
-		pdus[i] = pdu{channel: i, offset: timebase.Ticks(i) * (cfg.Omega + cfg.IFS)}
-	}
+	pdus := referencePDUs(cfg)
 	covs := make([]float64, cfg.Channels)
 	masks := make([][]bool, cfg.Channels)
 	var weighted float64
 	var gapSum timebase.Ticks
 	for j := range covs {
 		covs[j], masks[j] = branchCoverage(cfg, j)
-		gap := gapBeforePDU(cfg, pdus, j)
+		gap := referenceGapBefore(cfg, pdus, j)
 		gapSum += gap
 		weighted += float64(gap) * covs[j]
 	}
@@ -295,8 +265,9 @@ func TestBranchStatsConsistent(t *testing.T) {
 }
 
 // TestTableSizeMatchesTable: the entry count AnalyzeWithTableSize reports
-// is the size of the table NewTable builds, whose branches tile the
-// scanner's channel cycle.
+// is the size of coverage's channel table of the layout, one entry per
+// channel on each of its segments, which tile the scanner's channel cycle
+// from 0.
 func TestTableSizeMatchesTable(t *testing.T) {
 	for _, cfg := range []Config{
 		BLE(20000, 128, 30000, 30000),
@@ -308,19 +279,34 @@ func TestTableSizeMatchesTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := NewTable(cfg)
+		tab, err := coverage.NewChannelTable(cfg.Schedules())
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := 0
-		for _, segs := range tab {
-			total += len(segs)
-			if segs[0].Iv.Lo != 0 || segs[len(segs)-1].Iv.Hi != timebase.Ticks(cfg.Channels)*cfg.Ts {
-				t.Fatalf("%+v: a branch spans %v to %v", cfg, segs[0].Iv, segs[len(segs)-1].Iv)
-			}
+		segs := len(tab.Bounds)
+		if tab.Bounds[0] != 0 || tab.Bounds[segs-1] >= timebase.Ticks(cfg.Channels)*cfg.Ts {
+			t.Fatalf("%+v: the segments start at %d and %d", cfg, tab.Bounds[0], tab.Bounds[segs-1])
 		}
-		if len(tab) != cfg.Channels || total != n {
-			t.Fatalf("%+v: analysis counts %d entries, table has %d over %d branches", cfg, n, total, len(tab))
+		if n != len(tab.Delay) || n != len(tab.Index) || n != segs*cfg.Channels {
+			t.Fatalf("%+v: analysis counts %d entries, table has %d over %d segments", cfg, n, len(tab.Delay), segs)
 		}
+	}
+}
+
+// TestHyperperiodPastBeaconCapRefused: Ta = 1,000,003 and Ts = 999,983 on
+// three channels put 8,999,847 PDUs in one hyperperiod, past coverage's
+// 2^22-beacon horizon. Analyze returns coverage's cap error without laying
+// out a single sweep item.
+func TestHyperperiodPastBeaconCapRefused(t *testing.T) {
+	cfg := BLE(1_000_003, 128, 999_983, 30_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Analyze(cfg)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "spans more than 4194304 beacons") {
+		t.Fatalf("want the beacon cap's error, got %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing allocated %d bytes", alloc)
 	}
 }

@@ -19,29 +19,20 @@ import (
 
 // mcTemplates returns the per-channel schedules of a BLE-style device
 // under mc, memoized in the arena per config (only the phases vary per
-// trial, and phases live outside the sequences). The advertiser sends one
-// PDU per channel every advertising interval Ta, back to back, spaced IFS
-// apart (start to start: Omega + IFS), PDU c on channel c. The scanner
-// listens Ds at the end of every scan interval Ts, on one channel per
-// interval, cycling through all channels (cycle length Channels·Ts).
+// trial, and phases live outside the sequences): the layout the exact
+// analysis reads (multichannel.Config.Schedules), with the advertiser's
+// PDU c split out as its schedule on channel c.
 func (s *Scratch) mcTemplates(mc multichannel.Config) ([]schedule.BeaconSeq, []schedule.WindowSeq) {
 	if s.mcBeacons != nil && s.mcCfg == mc {
 		return s.mcBeacons, s.mcWindows
 	}
+	adv, scan := mc.Schedules()
 	bs := make([]schedule.BeaconSeq, mc.Channels)
-	ws := make([]schedule.WindowSeq, mc.Channels)
 	for c := range bs {
-		bs[c] = schedule.BeaconSeq{
-			Beacons: []schedule.Beacon{{Time: timebase.Ticks(c) * (mc.Omega + mc.IFS), Len: mc.Omega}},
-			Period:  mc.Ta,
-		}
-		ws[c] = schedule.WindowSeq{
-			Windows: []schedule.Window{{Start: timebase.Ticks(c)*mc.Ts + mc.Ts - mc.Ds, Len: mc.Ds}},
-			Period:  timebase.Ticks(mc.Channels) * mc.Ts,
-		}
+		bs[c] = schedule.BeaconSeq{Beacons: adv.Beacons[c : c+1 : c+1], Period: adv.Period}
 	}
-	s.mcCfg, s.mcBeacons, s.mcWindows = mc, bs, ws
-	return bs, ws
+	s.mcCfg, s.mcBeacons, s.mcWindows = mc, bs, scan
+	return bs, scan
 }
 
 // MultiChannelOutcome is the result of one multi-channel pair trial.

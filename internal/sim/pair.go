@@ -54,18 +54,26 @@ func NewMultiChannelPair(mc multichannel.Config) (*Pair, error) {
 }
 
 // Tabulate builds the pair's latency table, after which every trial on a
-// quiet channel reads its outcome from it. A single-channel table comes
-// from coverage.NewTable of e's beacons against f's windows, a
-// multi-channel one from multichannel.NewTable; its entry count is the one
-// AnalyzeWithTableSize reports.
+// quiet channel reads its outcome from it: coverage.NewTable of e's
+// beacons against f's windows, or coverage.NewChannelTable of the
+// multi-channel layout (multichannel.Config.Schedules), whose entry count
+// is the one multichannel.AnalyzeWithTableSize reports.
 func (p *Pair) Tabulate() error {
-	var err error
 	if p.multi {
-		p.table, err = multiChannelTable(p.mc)
-	} else {
-		p.table, err = singleChannelTable(p.e.B, p.f.C)
+		adv, scan := p.mc.Schedules()
+		t, err := coverage.NewChannelTable(adv, scan)
+		if err != nil {
+			return err
+		}
+		p.table = newLatencyTable(t, adv, scan[0].Period, true)
+		return nil
 	}
-	return err
+	t, err := coverage.NewTable(p.e.B, p.f.C)
+	if err != nil {
+		return err
+	}
+	p.table = newLatencyTable(t, p.e.B, p.f.C.Period, false)
+	return nil
 }
 
 // TrialScratch runs one trial of the pair on the arena scr. It returns the
@@ -115,27 +123,50 @@ func (p *Pair) lookup(ps, pr, horizon timebase.Ticks) (timebase.Ticks, int, bool
 	return lat, ch, true
 }
 
-// latencyTable is a quiet pair's latency table in the kernel's placement
-// terms: a sender whose beacons start at offsets times of every period,
-// shifted by its emission phase, against a receiver whose cycle is
-// shifted by its listening phase. Each starting beacon j (starting PDU, on
-// several channels) has a list that is piecewise constant in the offset φ
-// of j's start within the receiver's cycle, holding the delay from that
-// start to discovery under the kernel's convention — the received
-// packet's end on one channel, its start on several.
+// latencyTable is a quiet pair's latency table (coverage.Table) in the
+// kernel's placement terms: a sender whose beacons start at offsets times
+// of every period, shifted by its emission phase, against a receiver whose
+// cycle is shifted by its listening phase. Starting beacon j (starting
+// PDU, on several channels) at offset φ of the receiver's cycle puts
+// beacon 0 at φ − (times[j] − times[0]), and the segment holding that
+// offset gives j's entry: the delay from j's start to discovery under the
+// kernel's convention — the received packet's end on one channel, its
+// start on several — and on several the packet's channel.
 type latencyTable struct {
 	period timebase.Ticks   // the sender's period
 	cycle  timebase.Ticks   // the receiver's cycle, the range of φ
 	times  []timebase.Ticks // per start: its offset in the sender's period, ascending
-	starts []tableStart
+	bounds []timebase.Ticks // beacon 0's segment starts, ascending from 0
+	lat    []timebase.Ticks // per segment and start, segment-major: the delay to discovery, −1 for never
+	ch     []int32          // per entry: the received packet's channel; nil on one channel
 }
 
-// tableStart is one start's list.
-type tableStart struct {
-	shift  timebase.Ticks   // the list is read at offset φ − shift
-	bounds []timebase.Ticks // segment starts, ascending from 0
-	lat    []timebase.Ticks // per segment: the delay to discovery, −1 for never
-	ch     []int32          // per segment: the received packet's channel (multi-channel only)
+// newLatencyTable reads t, sender b's table against a receiver cycle of
+// cycle, under the kernel's conventions. On one channel a latency runs to
+// the received beacon's end, so each entry gains that beacon's airtime; on
+// several (multi) it runs to the packet's start, and the beacon's index
+// within the period is its channel. It takes over t's slices.
+func newLatencyTable(t coverage.Table, b schedule.BeaconSeq, cycle timebase.Ticks, multi bool) *latencyTable {
+	lt := &latencyTable{
+		period: b.Period,
+		cycle:  cycle,
+		times:  make([]timebase.Ticks, b.MB()),
+		bounds: t.Bounds,
+		lat:    t.Delay,
+	}
+	for j, bc := range b.Beacons {
+		lt.times[j] = bc.Time
+	}
+	if multi {
+		lt.ch = t.Index
+		return lt
+	}
+	for k, d := range lt.lat {
+		if d >= 0 {
+			lt.lat[k] = d + b.Beacons[t.Index[k]].Len
+		}
+	}
+	return lt
 }
 
 // at returns the first reception of a sender placed at emission phase ps
@@ -155,15 +186,16 @@ func (t *latencyTable) at(ps, pr timebase.Ticks) (timebase.Ticks, int, bool) {
 	} else {
 		s0 = t.times[j] - r
 	}
-	st := &t.starts[j]
-	seg := startAt(st.bounds, floorMod(s0-pr-st.shift, t.cycle)+1) - 1
-	l := st.lat[seg]
+	shift := t.times[j] - t.times[0]
+	seg := startAt(t.bounds, floorMod(s0-pr-shift, t.cycle)+1) - 1
+	k := seg*len(t.times) + j
+	l := t.lat[k]
 	if l < 0 {
 		return 0, 0, false
 	}
 	ch := 0
-	if st.ch != nil {
-		ch = int(st.ch[seg])
+	if t.ch != nil {
+		ch = int(t.ch[k])
 	}
 	return s0 + l, ch, true
 }
@@ -193,66 +225,4 @@ func floorMod(a, m timebase.Ticks) timebase.Ticks {
 		a += m
 	}
 	return a
-}
-
-// singleChannelTable tabulates sender b against listener c. coverage's
-// segments are beacon 0's: beacon j at offset φ puts beacon 0 at
-// φ − (τj − τ0), so every start shares the bounds and reads them shifted.
-func singleChannelTable(b schedule.BeaconSeq, c schedule.WindowSeq) (*latencyTable, error) {
-	ct, err := coverage.NewTable(b, c)
-	if err != nil {
-		return nil, err
-	}
-	t := &latencyTable{
-		period: b.Period,
-		cycle:  c.Period,
-		times:  make([]timebase.Ticks, b.MB()),
-		starts: make([]tableStart, b.MB()),
-	}
-	segs := len(ct.Bounds)
-	for j, bc := range b.Beacons {
-		t.times[j] = bc.Time
-		t.starts[j] = tableStart{
-			shift:  bc.Time - b.Beacons[0].Time,
-			bounds: ct.Bounds,
-			lat:    ct.Latency[j*segs : (j+1)*segs],
-		}
-	}
-	return t, nil
-}
-
-// multiChannelTable tabulates the multi-channel pair mc: start j is PDU j,
-// at offset j·(Ω + IFS) of the advertising interval, and its list is
-// branch j's segments. A delay d after PDU j reaches the PDU at offset
-// (j·(Ω + IFS) + d) mod Ta, whose index is its channel.
-func multiChannelTable(mc multichannel.Config) (*latencyTable, error) {
-	mt, err := multichannel.NewTable(mc)
-	if err != nil {
-		return nil, err
-	}
-	step := mc.Omega + mc.IFS
-	t := &latencyTable{
-		period: mc.Ta,
-		cycle:  timebase.Ticks(mc.Channels) * mc.Ts,
-		times:  make([]timebase.Ticks, mc.Channels),
-		starts: make([]tableStart, mc.Channels),
-	}
-	for j, segs := range mt {
-		t.times[j] = timebase.Ticks(j) * step
-		st := tableStart{
-			bounds: make([]timebase.Ticks, len(segs)),
-			lat:    make([]timebase.Ticks, len(segs)),
-			ch:     make([]int32, len(segs)),
-		}
-		for s, seg := range segs {
-			st.bounds[s] = seg.Iv.Lo
-			st.lat[s] = -1
-			if seg.Count > 0 {
-				st.lat[s] = timebase.Ticks(seg.Label)
-				st.ch[s] = int32((t.times[j] + st.lat[s]) % mc.Ta / step)
-			}
-		}
-		t.starts[j] = st
-	}
-	return t, nil
 }

@@ -18,6 +18,8 @@ package timebase
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 	"time"
 )
 
@@ -251,4 +253,27 @@ func CeilDiv(a, b Ticks) Ticks {
 		panic(fmt.Sprintf("timebase: CeilDiv with negative dividend %d", a))
 	}
 	return (a + b - 1) / b
+}
+
+// Sum128 is an exact unsigned 128-bit sum of tick products: a latency
+// weighted by the length of the offsets it holds on, summed over a long
+// horizon, can exceed int64. The zero value is an empty sum.
+type Sum128 struct{ hi, lo uint64 }
+
+// AddMul adds x·y to the sum, for non-negative x and y.
+func (u *Sum128) AddMul(x, y Ticks) {
+	hi, lo := bits.Mul64(uint64(x), uint64(y))
+	var carry uint64
+	u.lo, carry = bits.Add64(u.lo, lo, 0)
+	u.hi += hi + carry
+}
+
+// Float64 returns the sum rounded to the nearest float64.
+func (u Sum128) Float64() float64 {
+	if u.hi == 0 {
+		return float64(u.lo)
+	}
+	x := new(big.Int).Lsh(new(big.Int).SetUint64(u.hi), 64)
+	f, _ := new(big.Float).SetInt(x.Or(x, new(big.Int).SetUint64(u.lo))).Float64()
+	return f
 }

@@ -299,7 +299,9 @@ func BLEMultichannel(ta, omega, ts, ds Ticks) MultichannelConfig {
 }
 
 // AnalyzeMultichannel computes the exact worst-case discovery latency of a
-// multi-channel configuration over all relative phases.
+// multi-channel configuration over all relative phases. It examines at
+// most 2^22 PDUs per hyperperiod of advertiser and scanner, and returns an
+// error for a configuration whose hyperperiod holds more.
 func AnalyzeMultichannel(cfg MultichannelConfig) (MultichannelResult, error) {
 	return multichannel.Analyze(cfg)
 }
