@@ -19,6 +19,7 @@ test:
 # Short fuzz runs beyond the seed corpora, matching the CI test job's fuzz
 # step. go test -fuzz takes one package and one target per run.
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 15s ./internal/interval
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime 15s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz FuzzMultichannelMatchesReference -fuzztime 15s ./internal/multichannel
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 15s ./internal/engine

@@ -93,6 +93,9 @@ func registry() ([]bench, error) {
 		// single-channel and the multi-channel pair.
 		{"EnginePairStream", streamTrials, engineBench(quick, streamTrials, all)},
 		{"EngineMultiChannelPairStream", streamTrials, engineBench(fast, streamTrials, all)},
+		// Every other engine row warms the build cache first; this one
+		// measures the builds and exact analyses a cold design pays.
+		{"EngineColdDesigns", len(coldDesigns(0)) * coldTrials, coldDesignsBench()},
 		{"CoverageAnalyzeDisco2329", 0, benchCoverageDisco},
 		{"CoverageAnalyzeDiscoOneWay", 0, benchCoverageDiscoOneWay},
 		{"MultichannelAnalyzeBLE", 0, benchMultichannelBLE},
@@ -119,6 +122,69 @@ func engineBench(sc engine.Scenario, trials, workers int) func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := engine.RunScenario(sc, engine.Options{Workers: workers}); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// coldTrials is the trial count of each cold design, as in the cold-design
+// benchmark workload.
+const coldTrials = 64
+
+// coldDesigns returns one design of each of the cold-design benchmark
+// workload's twelve kinds, made from u ∈ [0, 2000): u sets the slot
+// length, the scan window or η, so designs of distinct u never share a
+// build.
+func coldDesigns(u int) []engine.Scenario {
+	const omega = 36 * timebase.Microsecond
+	slot := 4*timebase.Millisecond + timebase.Ticks(u)
+	eta := 0.02 + 0.00002*float64(u)
+	worst := engine.HorizonSpec{WorstMultiple: 2}
+	period := engine.HorizonSpec{PeriodMultiple: 3} // one-way slotted designs are not deterministic
+	designs := []struct {
+		p engine.ProtocolSpec
+		h engine.HorizonSpec
+	}{
+		{engine.ProtocolSpec{Kind: "optimal", Omega: omega, Eta: eta}, worst},
+		{engine.ProtocolSpec{Kind: "pi-optimal", Omega: omega, Eta: eta}, worst},
+		{engine.ProtocolSpec{Kind: "asymmetric", Omega: omega, EtaE: eta / 2, EtaF: 0.075}, worst},
+		{engine.ProtocolSpec{Kind: "disco", Omega: omega, P1: 37, P2: 43, SlotLen: slot}, period},
+		{engine.ProtocolSpec{Kind: "uconnect", Omega: omega, P: 31, SlotLen: slot}, period},
+		{engine.ProtocolSpec{Kind: "searchlight", Omega: omega, T: 16, Striped: true, SlotLen: slot}, period},
+		{engine.ProtocolSpec{Kind: "diffcode", Omega: omega, Q: 7, SlotLen: slot}, period},
+		{engine.ProtocolSpec{Kind: "multichannel", Omega: 128 * timebase.Microsecond,
+			Ta: 20 * timebase.Millisecond, Ts: 30 * timebase.Millisecond, Ds: 15*timebase.Millisecond + timebase.Ticks(u)}, worst},
+		{engine.ProtocolSpec{Kind: "slot-disco", Omega: omega, P1: 37, P2: 43, SlotLen: slot}, worst},
+		{engine.ProtocolSpec{Kind: "slot-uconnect", Omega: omega, P: 31, SlotLen: slot}, worst},
+		{engine.ProtocolSpec{Kind: "slot-searchlight", Omega: omega, T: 16, SlotLen: slot}, worst},
+		{engine.ProtocolSpec{Kind: "slot-diffcode", Omega: omega, Q: 7, SlotLen: slot}, worst},
+	}
+	batch := make([]engine.Scenario, len(designs))
+	for i, d := range designs {
+		d.p.Alpha = 1
+		batch[i] = engine.Scenario{Name: fmt.Sprintf("cold-%d-%s", u, d.p.Kind), Protocol: d.p,
+			Population: 2, Trials: coldTrials, Horizon: d.h, Seed: 1}
+	}
+	return batch
+}
+
+// coldDesignsBench runs one op's coldDesigns through RunSuite. Its op
+// counter carries across the benchmark's rounds, so every op's designs are
+// new to the build cache, which holds fewer than 2000 ops' worth; an op
+// that hits the cache fails the row.
+func coldDesignsBench() func(*testing.B) {
+	op := 0
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			batch := coldDesigns(op % 2000)
+			op++
+			var m obs.RunMetrics
+			if _, err := engine.RunSuite(batch, engine.Options{Metrics: &m}); err != nil {
+				b.Fatal(err)
+			}
+			if m.BuildCache.Misses != int64(len(batch)) {
+				b.Fatalf("%d build-cache misses for %d cold designs", m.BuildCache.Misses, len(batch))
 			}
 		}
 	}

@@ -13,11 +13,14 @@
 //
 // This package computes all of that exactly, in integer ticks, with one
 // interval sweep per analysis — no discretized offset loops. Analyze lays
-// out the n beacon images of one hyperperiod lcm(TB, TC) once, sorts their
-// endpoints once (interval.Sweeper's radix sort), and reads every starting
-// beacon's worst and mean latency off the same s elementary segments: the
-// sweep costs O(n·nC·(r + q)) for r radix passes and overlap depth q, and
-// the per-start reading O(s·mB). The same engine therefore serves as the
+// out the n beacon images of one hyperperiod lcm(TB, TC) once, already
+// reduced onto [0, TC), sorts their opening endpoints once
+// (interval.Sweeper's radix sort), holds each covering image's close on a
+// heap, and reads every starting beacon's worst and mean latency off the
+// same s elementary segments: the sweep costs O(n·nC·(r + log q + q)) for r
+// radix passes and overlap depth q, and the per-start reading O(s·mB). A
+// Workspace keeps that layout's buffers for a caller that analyzes pair
+// after pair. The same engine therefore serves as the
 // repository's reference "simulator" for two periodic devices: analyses
 // are exact rather than sampled. A deliberately naive brute-force
 // evaluator is provided for cross-validation and for the ablation
@@ -115,23 +118,43 @@ type Result struct {
 // capped horizon cuts that repetition, so the sweep then lists the mB−1
 // beacons the later starts reach beyond it instead.
 func Analyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, error) {
-	res, _, err := AnalyzeWithTableSize(b, c, opt)
+	var ws Workspace
+	res, _, err := AnalyzeWithTableSize(b, c, opt, &ws)
 	return res, err
 }
 
-// AnalyzeWithTableSize is Analyze that also returns the entry count of the
-// pair's latency table (NewTable): one entry per starting beacon on each
-// elementary segment of the sweep. The count is 0 when NewTable refuses
-// the pair, or when opt truncates the windows, which the table does not
-// model. Counting costs nothing beyond the sweep Analyze runs anyway, so a
-// caller can decide whether a table pays before building one.
-func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (Result, int, error) {
+// Workspace holds the buffers a pair analysis lays out and sweeps: the
+// beacon delays, the sweep's items and the interval.Sweeper. A caller that
+// analyzes pair after pair passes one Workspace to every call, and after
+// the first few calls only each call's per-start slices are allocated.
+// Reuse never changes a result. The zero value is ready to use; a
+// Workspace must not be used by two goroutines at once.
+type Workspace struct {
+	delays []timebase.Ticks
+	items  []interval.Labeled
+	sweep  interval.Sweeper
+}
+
+// AnalyzeWithTableSize is Analyze on the caller's workspace that also
+// returns the entry count of the pair's latency table (NewTable): one
+// entry per starting beacon on each elementary segment of the sweep. The
+// count is 0 when NewTable refuses the pair, or when opt truncates the
+// windows, which the table does not model. Counting costs nothing beyond
+// the sweep Analyze runs anyway, so a caller can decide whether a table
+// pays before building one.
+func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options, ws *Workspace) (Result, int, error) {
 	windows, err := listenerWindows(b, c, opt)
 	if err != nil {
 		return Result{}, 0, err
 	}
-	horizon, hyper := horizonBeacons(b, c.Period, opt)
-	s := newPairSweep(b, [][]schedule.Window{windows}, horizon, hyper)
+	horizon, hyper, err := horizonBeacons(b, c.Period, opt)
+	if err != nil {
+		return Result{}, 0, err
+	}
+	s, err := ws.pairSweep(b, c.Period, [][]schedule.Window{windows}, horizon, hyper)
+	if err != nil {
+		return Result{}, 0, err
+	}
 	mB := s.mB
 	var (
 		uncovered  timebase.Ticks
@@ -143,9 +166,8 @@ func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Option
 		lSum       = make([]timebase.Sum128, mB) // per start: Σ latency · segment length
 		failed     = mB                          // first start that leaves an offset uncovered
 		horizonEnd = int64(s.delays[horizon])    // beacon 0's horizon
-		sweep      interval.Sweeper
 	)
-	sweep.Sweep(c.Period, s.items, func(iv interval.Interval, labels []int64) {
+	ws.sweep.Sweep(c.Period, s.items, func(iv interval.Interval, labels []int64) {
 		segments++
 		// The beacons of one period have delays below TB.
 		m := 0
@@ -234,7 +256,8 @@ func AnalyzeWithTableSize(b schedule.BeaconSeq, c schedule.WindowSeq, opt Option
 // beacon can land in), each labeled with its beacon's delay after beacon
 // 0. By Equation 3 starting beacon j's images are beacon 0's shifted by
 // its delay, so every start reads its latencies off the same segments
-// (first, kth).
+// (first, kth). Its delays and items live in the Workspace that laid it
+// out, until that Workspace's next analysis.
 type pairSweep struct {
 	mB      int
 	horizon int              // beacons each start examines
@@ -243,37 +266,49 @@ type pairSweep struct {
 	items   []interval.Labeled
 }
 
-// newPairSweep lays out the sweep of sender b against windows: one list
-// of windows every beacon can land in, or one per beacon of a period,
-// beacon i's in windows[i]. It lists the horizon's beacons, plus the mB−1
-// that later starts reach past a capped horizon (hyper 0).
-func newPairSweep(b schedule.BeaconSeq, windows [][]schedule.Window, horizon int, hyper timebase.Ticks) pairSweep {
+// pairSweep lays out, in ws, the sweep of sender b against windows on the
+// cycle [0, tc): one list of windows every beacon can land in, or one per
+// beacon of a period, beacon i's in windows[i]. It lists the horizon's
+// beacons, plus the mB−1 that later starts reach past a capped horizon
+// (hyper 0). Each beacon's delay is reduced mod tc once, so every item
+// starts inside the cycle and the sweep divides for none of them.
+func (ws *Workspace) pairSweep(b schedule.BeaconSeq, tc timebase.Ticks, windows [][]schedule.Window, horizon int, hyper timebase.Ticks) (pairSweep, error) {
 	s := pairSweep{mB: b.MB(), horizon: horizon, hyper: hyper}
 	// Start j examines beacons j … j+horizon−1.
-	s.delays = beaconDelays(b, horizon+s.mB)
+	var err error
+	if ws.delays, err = beaconDelays(ws.delays[:0], b, horizon+s.mB, hyper); err != nil {
+		return pairSweep{}, err
+	}
+	s.delays = ws.delays
 	listed := horizon
 	if hyper == 0 {
 		listed += s.mB - 1
 	}
 	n := 0 // beacon i takes windows[i mod len(windows)]
-	for r, ws := range windows {
+	for r, w := range windows {
 		beacons := listed / len(windows)
 		if r < listed%len(windows) {
 			beacons++
 		}
-		n += beacons * len(ws)
+		n += beacons * len(w)
 	}
-	s.items = make([]interval.Labeled, 0, n)
+	items := slices.Grow(ws.items[:0], n)
 	r := 0
 	for _, d := range s.delays[:listed] {
+		shift := d % tc
 		for _, w := range windows[r] {
-			s.items = append(s.items, interval.Labeled{Lo: w.Start - d, Length: w.Len, Label: int64(d)})
+			lo := w.Start - shift
+			if lo < 0 {
+				lo += tc
+			}
+			items = append(items, interval.Labeled{Lo: lo, Length: w.Len, Label: int64(d)})
 		}
 		if r++; r == len(windows) {
 			r = 0
 		}
 	}
-	return s
+	ws.items, s.items = items, items
+	return s, nil
 }
 
 // first returns the delay after beacon 0 of the beacon that start j
@@ -382,14 +417,20 @@ func NewChannelTable(b schedule.BeaconSeq, c []schedule.WindowSeq) (Table, error
 // newTable tabulates sender b against windows (newPairSweep) on the cycle
 // [0, period). It decides its refusal before laying out any item.
 func newTable(b schedule.BeaconSeq, period timebase.Ticks, windows [][]schedule.Window) (Table, error) {
-	horizon, hyper := horizonBeacons(b, period, Options{})
+	horizon, hyper, err := horizonBeacons(b, period, Options{})
+	if err != nil {
+		return Table{}, err
+	}
 	if hyper == 0 {
 		return Table{}, fmt.Errorf("coverage: the hyperperiod of lcm(%d, %d) spans more than %d beacons; no latency table", b.Period, period, horizon)
 	}
-	s := newPairSweep(b, windows, horizon, hyper)
+	var ws Workspace
+	s, err := ws.pairSweep(b, period, windows, horizon, hyper)
+	if err != nil {
+		return Table{}, err
+	}
 	var t Table
-	var sweep interval.Sweeper
-	sweep.Sweep(period, s.items, func(iv interval.Interval, labels []int64) {
+	ws.sweep.Sweep(period, s.items, func(iv interval.Interval, labels []int64) {
 		t.Bounds = append(t.Bounds, iv.Lo)
 		p := 0
 		for j := 0; j < s.mB; j++ {
@@ -435,15 +476,21 @@ func QWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, q int, opt Option
 	// A capped horizon cannot wrap. MaxBeacons is honored verbatim; a
 	// hyperperiod past the analysis's beacon cap is examined over q caps'
 	// worth of beacons, as q hyperperiods would be.
-	horizon, hyper := horizonBeacons(b, c.Period, opt)
+	horizon, hyper, err := horizonBeacons(b, c.Period, opt)
+	if err != nil {
+		return 0, false, err
+	}
 	if hyper == 0 && opt.MaxBeacons == 0 {
 		horizon *= q
 	}
-	s := newPairSweep(b, [][]schedule.Window{windows}, horizon, hyper)
+	var ws Workspace
+	s, err := ws.pairSweep(b, c.Period, [][]schedule.Window{windows}, horizon, hyper)
+	if err != nil {
+		return 0, false, err
+	}
 	lMax := make([]int64, s.mB) // per start: the worst q-th delay
 	covered := true
-	var sweep interval.Sweeper
-	sweep.Sweep(c.Period, s.items, func(_ interval.Interval, labels []int64) {
+	ws.sweep.Sweep(c.Period, s.items, func(_ interval.Interval, labels []int64) {
 		if len(labels) == 0 {
 			covered = false
 		}
@@ -552,7 +599,7 @@ func BruteForceWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, step tim
 	if step <= 0 {
 		step = 1
 	}
-	windows, err := usefulWindows(c, opt, maxOmega(b))
+	windows, err := listenerWindows(b, c, opt)
 	if err != nil {
 		return 0, false
 	}
@@ -560,7 +607,10 @@ func BruteForceWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, step tim
 	for _, w := range windows {
 		wset.Add(w.Start, w.Len)
 	}
-	horizon, _ := horizonBeacons(b, c.Period, opt)
+	horizon, _, err := horizonBeacons(b, c.Period, opt)
+	if err != nil {
+		return 0, false
+	}
 	gaps := b.Gaps()
 	mB := b.MB()
 	extra := timebase.Ticks(0)
@@ -650,34 +700,46 @@ func maxOmega(b schedule.BeaconSeq) timebase.Ticks {
 	return m
 }
 
-// horizonBeacons returns how many consecutive beacons of b to examine
-// against a listener cycle of tc: one full hyperperiod's worth (images
-// repeat after lcm(TB, TC)), or the caller's cap. hyper is the
-// hyperperiod when the horizon spans exactly one, and 0 when a cap cut it.
-func horizonBeacons(b schedule.BeaconSeq, tc timebase.Ticks, opt Options) (n int, hyper timebase.Ticks) {
+// maxHorizon caps the beacons an analysis examines per start: 2^22.
+const maxHorizon = 4 << 20
+
+// horizonBeacons returns how many consecutive beacons of the valid,
+// non-empty b to examine against a listener cycle of tc: one full
+// hyperperiod's worth (images repeat after lcm(TB, TC)), or the caller's
+// cap, or maxHorizon. hyper is the hyperperiod when the horizon spans
+// exactly one, and 0 when a cap cut it. The hyperperiod holds
+// TC/gcd(TB, TC) periods of mB beacons; they are counted, and the cap
+// applied, before the hyperperiod is formed, so a pair past the cap never
+// forms it, and a hyperperiod that would overflow int64 is an error.
+func horizonBeacons(b schedule.BeaconSeq, tc timebase.Ticks, opt Options) (n int, hyper timebase.Ticks, err error) {
 	if opt.MaxBeacons > 0 {
-		return opt.MaxBeacons, 0
+		return opt.MaxBeacons, 0, nil
 	}
-	hp := timebase.LCM(b.Period, tc)
-	beacons := hp / b.Period * timebase.Ticks(b.MB())
-	const maxHorizon = 4 << 20
-	if beacons > maxHorizon {
-		return maxHorizon, 0
+	periods := tc / timebase.GCD(b.Period, tc)
+	mB := timebase.Ticks(b.MB())
+	if periods > maxHorizon/mB {
+		return maxHorizon, 0, nil
 	}
-	if beacons < 1 {
-		return 1, 0
+	if periods > math.MaxInt64/b.Period {
+		return 0, 0, fmt.Errorf("coverage: the hyperperiod lcm(%d, %d) overflows int64", b.Period, tc)
 	}
-	return int(beacons), hp
+	return int(periods * mB), periods * b.Period, nil
 }
 
-// beaconDelays returns the delays of the first n beacons of B∞ after
-// beacon 0, in order.
-func beaconDelays(b schedule.BeaconSeq, n int) []timebase.Ticks {
+// beaconDelays appends to delays the delays after beacon 0 of the first n
+// beacons of B∞, in order. It fails when the latencies read from them
+// could overflow int64: every delay, plus a hyperperiod's wrap past it,
+// plus the gap before a start, must fit.
+func beaconDelays(delays []timebase.Ticks, b schedule.BeaconSeq, n int, hyper timebase.Ticks) ([]timebase.Ticks, error) {
 	mB := b.MB()
-	first := b.Beacons[0].Time
-	delays := make([]timebase.Ticks, n)
-	for i := range delays {
-		delays[i] = timebase.Ticks(i/mB)*b.Period + b.Beacons[i%mB].Time - first
+	// Every delay is below periods·TB.
+	if periods := int64((n-1)/mB) + 1; periods+1 > (math.MaxInt64-int64(hyper))/int64(b.Period) {
+		return delays, fmt.Errorf("coverage: %d beacons of period %d overflow int64", n, b.Period)
 	}
-	return delays
+	delays = slices.Grow(delays, n)
+	first := b.Beacons[0].Time
+	for i := 0; i < n; i++ {
+		delays = append(delays, timebase.Ticks(i/mB)*b.Period+b.Beacons[i%mB].Time-first)
+	}
+	return delays, nil
 }

@@ -412,6 +412,7 @@ func TestMinimalPrefixMatchesBeaconingTheorem(t *testing.T) {
 // horizon) or its options change the windows the table does not model.
 func TestTableSizeMatchesTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	var ws Workspace
 	for i := 0; i < 300; i++ {
 		b := schedule.BeaconSeq{Period: timebase.Ticks(20 + rng.Intn(60))}
 		for at := timebase.Ticks(rng.Intn(5)); len(b.Beacons) < 4; {
@@ -434,7 +435,7 @@ func TestTableSizeMatchesTable(t *testing.T) {
 		if b.Empty() || c.Empty() {
 			continue
 		}
-		_, n, err := AnalyzeWithTableSize(b, c, Options{})
+		_, n, err := AnalyzeWithTableSize(b, c, Options{}, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +450,7 @@ func TestTableSizeMatchesTable(t *testing.T) {
 		// A capped horizon may also fail a later start; the count is 0
 		// either way.
 		for _, opt := range []Options{{MaxBeacons: 3}, {TruncatedWindows: true}} {
-			if _, n, _ := AnalyzeWithTableSize(b, c, opt); n != 0 {
+			if _, n, _ := AnalyzeWithTableSize(b, c, opt, &ws); n != 0 {
 				t.Fatalf("%v / %v, %+v: %d entries, want 0", b, c, opt, n)
 			}
 		}

@@ -39,7 +39,10 @@ func referenceAnalyze(b schedule.BeaconSeq, c schedule.WindowSeq, opt Options) (
 		return Result{}, err
 	}
 
-	horizon, _ := horizonBeacons(b, c.Period, opt)
+	horizon, _, err := horizonBeacons(b, c.Period, opt)
+	if err != nil {
+		return Result{}, err
+	}
 
 	gaps := b.Gaps()
 	mB := b.MB()
@@ -224,7 +227,10 @@ func referenceQWorstLatency(b schedule.BeaconSeq, c schedule.WindowSeq, q int, o
 	// The horizon must span q coverings: q hyperperiods always suffice
 	// (each hyperperiod repeats the full image set). An explicit
 	// MaxBeacons cap is honored verbatim.
-	horizon, _ := horizonBeacons(b, c.Period, opt)
+	horizon, _, err := horizonBeacons(b, c.Period, opt)
+	if err != nil {
+		return 0, false, err
+	}
 	if opt.MaxBeacons == 0 {
 		horizon *= q
 	}
@@ -454,7 +460,7 @@ func TestQWorstLatencyMatchesReference(t *testing.T) {
 			if opt.TruncatedWindows {
 				truncated++
 			}
-			if _, hyper := horizonBeacons(b, c.Period, opt); hyper > 0 && q > 1 {
+			if _, hyper, _ := horizonBeacons(b, c.Period, opt); hyper > 0 && q > 1 {
 				wrapped++
 			}
 		default:
@@ -545,8 +551,8 @@ func decodePair(data []byte) (b schedule.BeaconSeq, c schedule.WindowSeq, opt Op
 		return b, c, opt, false
 	}
 	// The reference sweeps horizon·nC items once per starting beacon.
-	horizon, _ := horizonBeacons(b, c.Period, opt)
-	return b, c, opt, horizon*c.NC()*b.MB() <= 1<<16
+	horizon, _, err := horizonBeacons(b, c.Period, opt)
+	return b, c, opt, err == nil && horizon*c.NC()*b.MB() <= 1<<16
 }
 
 // FuzzAnalyzeMatchesReference: Analyze agrees with the per-start reference

@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/schedule"
@@ -127,4 +129,57 @@ func TestTickOverflowGuard(t *testing.T) {
 	}()
 	huge := timebase.Ticks(1) << 40
 	_ = timebase.LCM(huge+1, huge+3) // coprime-ish huge periods → overflow panic
+}
+
+// TestHorizonPastCapFormsNoHyperperiod: Ta = 4,000,000,007 against
+// Ts = 9,000,000,041 is coprime, so lcm(Ta, Ts) overflows int64. Its
+// 9,000,000,041 beacons per hyperperiod are counted, and capped, before the
+// hyperperiod is formed: the pair is examined at the capped horizon, and
+// NewTable refuses it with the cap's error without laying out any item.
+func TestHorizonPastCapFormsNoHyperperiod(t *testing.T) {
+	b := schedule.BeaconSeq{Period: 4_000_000_007, Beacons: []schedule.Beacon{{Time: 0, Len: 36}}}
+	c := schedule.WindowSeq{Period: 9_000_000_041, Windows: []schedule.Window{{Start: 0, Len: 1_000_000}}}
+	n, hyper, err := horizonBeacons(b, c.Period, Options{})
+	if err != nil || n != maxHorizon || hyper != 0 {
+		t.Fatalf("horizon %d, hyperperiod %d, error %v; want the cap %d, 0, nil", n, hyper, err, maxHorizon)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = NewTable(b, c)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "spans more than 4194304 beacons") {
+		t.Fatalf("want the beacon cap's error, got %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing allocated %d bytes", alloc)
+	}
+}
+
+// TestOverflowingPairIsAnError: a pair whose beacon count per hyperperiod
+// is under the cap can still overflow int64, in the hyperperiod itself
+// (TB = 2^62 + 3 against TC = 3) or in the delays the analysis reads past
+// a hyperperiod that fits (TB = 2^61 + 3). Every analysis reports the
+// overflow as an error.
+func TestOverflowingPairIsAnError(t *testing.T) {
+	c := schedule.WindowSeq{Period: 3, Windows: []schedule.Window{{Start: 0, Len: 1}}}
+	for _, tc := range []struct {
+		tb   timebase.Ticks
+		want string
+	}{
+		{1<<62 + 3, "hyperperiod lcm(4611686018427387907, 3) overflows int64"},
+		{1<<61 + 3, "4 beacons of period 2305843009213693955 overflow int64"},
+	} {
+		b := schedule.BeaconSeq{Period: tc.tb, Beacons: []schedule.Beacon{{Time: 0, Len: 1}}}
+		_, err := Analyze(b, c, Options{})
+		_, tableErr := NewTable(b, c)
+		_, _, qErr := QWorstLatency(b, c, 2, Options{})
+		for _, e := range []error{err, tableErr, qErr} {
+			if e == nil || !strings.Contains(e.Error(), tc.want) {
+				t.Errorf("TB %d: error %v, want %q", tc.tb, e, tc.want)
+			}
+		}
+		if _, ok := BruteForceWorstLatency(b, c, 1, Options{}); ok {
+			t.Errorf("TB %d: brute force reports a latency", tc.tb)
+		}
+	}
 }

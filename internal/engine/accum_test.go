@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coverage"
 	"repro/internal/sim"
 	"repro/internal/timebase"
 )
@@ -74,7 +75,7 @@ func TestAccumMatchesReferences(t *testing.T) {
 		sc.Horizon = HorizonSpec{Ticks: h}
 		sc.Trials = 1 + rng.Intn(30)
 		sc.Seed = int64(iter)
-		p, err := prepare(sc, Options{})
+		p, err := prepare(sc, Options{}, new(coverage.Workspace))
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
@@ -204,7 +205,7 @@ func TestAccumMatchesReferences(t *testing.T) {
 // quantized.
 func runQuantized(t *testing.T, sc Scenario) Aggregate {
 	t.Helper()
-	p, err := prepare(sc, Options{})
+	p, err := prepare(sc, Options{}, new(coverage.Workspace))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/coverage"
 	"repro/internal/timebase"
 )
 
@@ -32,7 +33,7 @@ func checkCDFContract(t *testing.T, pts []CDFPoint, discovered, total int) {
 // exact keys and once quantized, and returns both CDFs.
 func accumCDFs(t *testing.T, samples []timebase.Ticks, misses int) [][]CDFPoint {
 	t.Helper()
-	p, err := prepare(tinyScenario(1, 1), Options{})
+	p, err := prepare(tinyScenario(1, 1), Options{}, new(coverage.Workspace))
 	if err != nil {
 		t.Fatal(err)
 	}

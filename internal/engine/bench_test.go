@@ -3,6 +3,8 @@ package engine
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/coverage"
 )
 
 // benchScenario is trial-heavy enough that sharding matters: the wall-clock
@@ -125,12 +127,12 @@ func BenchmarkMultiChannelGroupScenario(b *testing.B) {
 // must be orders of magnitude below buildUncached.
 func BenchmarkScheduleCache(b *testing.B) {
 	spec := ProtocolSpec{Kind: "optimal", Omega: 36, Alpha: 1, Eta: 0.05}
-	if _, err := build(spec, 2); err != nil {
+	if _, err := build(spec, 2, new(coverage.Workspace)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := build(spec, 2); err != nil {
+		if _, err := build(spec, 2, new(coverage.Workspace)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -205,10 +205,11 @@ func buildKey(p ProtocolSpec, population int) uint64 {
 }
 
 // build materializes the protocol spec, memoized (errors included — specs
-// are deterministic, so a failing build always fails).
-func build(p ProtocolSpec, population int) (*built, error) {
+// are deterministic, so a failing build always fails). A miss analyzes on
+// ws, the calling goroutine's workspace.
+func build(p ProtocolSpec, population int, ws *coverage.Workspace) (*built, error) {
 	e := buildCache.get(buildKey(p, population))
-	e.once.Do(func() { e.b, e.err = buildUncached(p, population) })
+	e.once.Do(func() { e.b, e.err = buildUncached(p, population, ws) })
 	return e.b, e.err
 }
 
@@ -225,7 +226,7 @@ func blePI(preset string) (protocols.PI, error) {
 	return protocols.PI{}, fmt.Errorf("engine: unknown BLE preset %q", preset)
 }
 
-func buildUncached(p ProtocolSpec, population int) (*built, error) {
+func buildUncached(p ProtocolSpec, population int, ws *coverage.Workspace) (*built, error) {
 	buildUncachedCalls.Add(1)
 	alpha := p.Alpha
 	if alpha == 0 {
@@ -326,7 +327,7 @@ func buildUncached(p ProtocolSpec, population int) (*built, error) {
 		return nil, fmt.Errorf("engine: unknown protocol kind %q", p.Kind)
 	}
 
-	ana, entries, err := coverage.AnalyzeWithTableSize(b.E.B, b.F.C, coverage.Options{})
+	ana, entries, err := coverage.AnalyzeWithTableSize(b.E.B, b.F.C, coverage.Options{}, ws)
 	if err != nil {
 		return nil, fmt.Errorf("engine: analyzing %s: %w", p.Kind, err)
 	}
@@ -337,7 +338,7 @@ func buildUncached(p ProtocolSpec, population int) (*built, error) {
 	if !b.Symmetric {
 		// The two-way bounds (Theorem 5.7) cap the slower direction, so
 		// the bound-comparable worst case is the max over both.
-		rev, err := coverage.Analyze(b.F.B, b.E.C, coverage.Options{})
+		rev, _, err := coverage.AnalyzeWithTableSize(b.F.B, b.E.C, coverage.Options{}, ws)
 		if err != nil {
 			return nil, fmt.Errorf("engine: analyzing %s reverse direction: %w", p.Kind, err)
 		}

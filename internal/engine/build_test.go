@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/coverage"
+	"repro/internal/obs"
 	"repro/internal/timebase"
 )
 
@@ -40,7 +44,7 @@ func TestBuildCacheEviction(t *testing.T) {
 	// End to end: run far more distinct builds than the capacity through
 	// the real cache and check residency stays bounded.
 	for i := 0; i < 2*buildCacheCap; i++ {
-		if _, err := build(piSpec(i), 2); err != nil {
+		if _, err := build(piSpec(i), 2, new(coverage.Workspace)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +86,7 @@ func TestBuildCacheConcurrentMiss(t *testing.T) {
 		go func(g int) {
 			defer done.Done()
 			start.Wait() // maximize contention on the first miss
-			results[g], errs[g] = build(spec, 2)
+			results[g], errs[g] = build(spec, 2, new(coverage.Workspace))
 		}(g)
 	}
 	start.Done()
@@ -97,6 +101,50 @@ func TestBuildCacheConcurrentMiss(t *testing.T) {
 		}
 		if results[g] != results[0] {
 			t.Fatalf("goroutine %d observed a different build", g)
+		}
+	}
+}
+
+// coldRun numbers TestConcurrentPrepareMatchesFreshBuilds's runs, so
+// every run (with -count too) misses the build cache on every design.
+var coldRun atomic.Int64
+
+// TestConcurrentPrepareMatchesFreshBuilds: four preparing goroutines share
+// out cold designs of mixed sizes (one-way Disco and U-Connect sweeps of
+// thousands of items, two-way asymmetric pairs, single-beacon PI), each
+// reusing its own workspace from miss to miss, and every build's analysis
+// equals a build on a fresh workspace.
+func TestConcurrentPrepareMatchesFreshBuilds(t *testing.T) {
+	run := int(coldRun.Add(1))
+	var scenarios []Scenario
+	for i := 0; i < 6; i++ {
+		u := 100*run + i
+		for _, p := range []ProtocolSpec{
+			{Kind: "disco", Omega: 36, Alpha: 1, P1: 37, P2: 43, SlotLen: timebase.Ticks(4000 + u)},
+			{Kind: "asymmetric", Omega: 36, Alpha: 1, EtaE: 0.01 + 0.0001*float64(u), EtaF: 0.08},
+			{Kind: "uconnect", Omega: 36, Alpha: 1, P: 31, SlotLen: timebase.Ticks(4000 + u)},
+			piSpec(100000 + u),
+		} {
+			scenarios = append(scenarios, Scenario{Name: fmt.Sprintf("cold-%d-%s", u, p.Kind), Protocol: p,
+				Population: 2, Trials: 1, Seed: 1, Horizon: HorizonSpec{PeriodMultiple: 1}})
+		}
+	}
+	var m obs.RunMetrics
+	points, err := runPoints(scenarios, Options{Workers: 4, Metrics: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.BuildCache.Misses != int64(len(scenarios)) {
+		t.Fatalf("%d build-cache misses for %d designs", m.BuildCache.Misses, len(scenarios))
+	}
+	for i, p := range points {
+		want, err := buildUncached(scenarios[i].Protocol, 2, new(coverage.Workspace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.b.Analysis != want.Analysis || p.b.WorstTwoWay != want.WorstTwoWay || p.b.TableEntries != want.TableEntries {
+			t.Errorf("%s: concurrent prepare built %+v (two-way %d, %d entries), a fresh workspace %+v (%d, %d)",
+				scenarios[i].Name, p.b.Analysis, p.b.WorstTwoWay, p.b.TableEntries, want.Analysis, want.WorstTwoWay, want.TableEntries)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coverage"
 	"repro/internal/sim"
 	"repro/internal/timebase"
 )
@@ -62,7 +63,7 @@ func TestMultiChannelGroupMatchesSerialTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := build(sc.Protocol, sc.Population)
+	b, err := build(sc.Protocol, sc.Population, new(coverage.Workspace))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,6 +305,14 @@ func TestNewKindsValidation(t *testing.T) {
 	if _, err := RunScenario(huge, Options{}); err == nil || !strings.Contains(err.Error(), "spans more than 4194304 beacons") {
 		t.Errorf("a hyperperiod past the beacon cap should fail the scenario, got %v", err)
 	}
+	// Coprime intervals whose hyperperiod would overflow int64: the cap
+	// applies before the hyperperiod is formed, so the scenario fails the
+	// same way instead of crashing the process.
+	overflow := base
+	overflow.Protocol.Ta, overflow.Protocol.Ts, overflow.Protocol.Ds = 4_000_000_007, 3_000_000_019, 30_000
+	if _, err := RunScenario(overflow, Options{}); err == nil || !strings.Contains(err.Error(), "spans more than 4194304 beacons") {
+		t.Errorf("a hyperperiod past int64 should fail the scenario with the beacon cap, got %v", err)
+	}
 }
 
 // TestMultiChannelConfigPresetFillIn: the preset supplies whatever timing

@@ -3,6 +3,8 @@ package engine
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/coverage"
 )
 
 // This file pins the engine's latency-table gate: a pair point whose trial
@@ -34,13 +36,13 @@ func TestPairTablePointsMatchKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := build(sc.Protocol, sc.Population)
+			b, err := build(sc.Protocol, sc.Population, new(coverage.Workspace))
 			if err != nil {
 				t.Fatal(err)
 			}
 			sc.Trials = b.TableEntries
 			for _, kernelOnly := range []bool{false, true} {
-				p, err := prepare(sc, Options{kernelOnly: kernelOnly})
+				p, err := prepare(sc, Options{kernelOnly: kernelOnly}, new(coverage.Workspace))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +102,7 @@ func TestMultiChannelTableEntries(t *testing.T) {
 	points = append(points, swept...)
 	var got []int
 	for _, sc := range points {
-		b, err := build(sc.Protocol, sc.Population)
+		b, err := build(sc.Protocol, sc.Population, new(coverage.Workspace))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/obs"
 	"repro/internal/schedule"
 	"repro/internal/sim"
@@ -326,8 +327,9 @@ func EffectiveScenario(sc Scenario, opt Options) (Scenario, error) {
 	return sc, nil
 }
 
-// prepare validates and materializes one scenario into a schedulable point.
-func prepare(sc Scenario, opt Options) (*point, error) {
+// prepare validates and materializes one scenario into a schedulable point,
+// analyzing a build-cache miss on ws.
+func prepare(sc Scenario, opt Options, ws *coverage.Workspace) (*point, error) {
 	// The effective spec records the truth: an exact point runs zero
 	// trials, and the empty trial range below makes the feeder finalize it
 	// directly.
@@ -335,7 +337,7 @@ func prepare(sc Scenario, opt Options) (*point, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := build(sc.Protocol, sc.Population)
+	b, err := build(sc.Protocol, sc.Population, ws)
 	if err != nil {
 		return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 	}
@@ -525,12 +527,16 @@ func runPoints(scenarios []Scenario, opt Options) ([]*point, error) {
 		pw.Add(1)
 		go func() {
 			defer pw.Done()
+			// Each preparing goroutine analyzes its misses on its own
+			// workspace, which dies with this run's prepare phase: no
+			// process-wide pool keeps one between runs.
+			var ws coverage.Workspace
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(scenarios) {
 					return
 				}
-				points[i], prepErrs[i] = prepare(scenarios[i], opt)
+				points[i], prepErrs[i] = prepare(scenarios[i], opt, &ws)
 			}
 		}()
 	}

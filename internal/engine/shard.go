@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/coverage"
 	"repro/internal/durable"
 	"repro/internal/strictjson"
 )
@@ -413,7 +414,8 @@ func finalizePoint(ps PointSnapshot) (Aggregate, error) {
 	if err := ps.validate(ShardSpec{}); err != nil {
 		return Aggregate{}, err
 	}
-	p, err := prepare(ps.Scenario, Options{})
+	var ws coverage.Workspace
+	p, err := prepare(ps.Scenario, Options{}, &ws)
 	if err != nil {
 		return Aggregate{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/coverage"
 	"repro/internal/timebase"
 )
 
@@ -142,7 +143,7 @@ func TestTrialSeedsDistinct(t *testing.T) {
 }
 
 func TestHorizonResolution(t *testing.T) {
-	b, err := build(ProtocolSpec{Kind: "optimal", Omega: 36, Alpha: 1, Eta: 0.05}, 2)
+	b, err := build(ProtocolSpec{Kind: "optimal", Omega: 36, Alpha: 1, Eta: 0.05}, 2, new(coverage.Workspace))
 	if err != nil {
 		t.Fatal(err)
 	}

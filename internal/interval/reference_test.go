@@ -228,3 +228,101 @@ func TestRadixSortMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// checkSweepAgainstReference requires SweepMin, SweepKth and the raw sweep
+// on sw to give exactly the reference's segments for items.
+func checkSweepAgainstReference(t *testing.T, sw *Sweeper, period timebase.Ticks, items []Labeled, k int) {
+	t.Helper()
+	gotMin, gotCov := SweepMin(period, items)
+	wantMin, wantCov := referenceSweepMin(period, items)
+	if gotCov != wantCov || !reflect.DeepEqual(gotMin, wantMin) {
+		t.Fatalf("period %d items %v: SweepMin %v %v, reference %v %v", period, items, gotMin, gotCov, wantMin, wantCov)
+	}
+	gotK, gotKCov := SweepKth(period, items, k)
+	wantK, wantKCov := referenceSweepKth(period, items, k)
+	if gotKCov != wantKCov || !reflect.DeepEqual(gotK, wantK) {
+		t.Fatalf("period %d k %d items %v: SweepKth %v %v, reference %v %v", period, k, items, gotK, gotKCov, wantK, wantKCov)
+	}
+	// Every covering label, sorted: the reference's count, minimum and
+	// k-th label.
+	i := 0
+	sw.Sweep(period, items, func(iv Interval, labels []int64) {
+		if iv != wantMin[i].Iv || len(labels) != wantMin[i].Count ||
+			(len(labels) > 0 && labels[0] != wantMin[i].Label) ||
+			(len(labels) >= k && labels[k-1] != wantK[i].Label) ||
+			!slices.IsSorted(labels) {
+			t.Fatalf("period %d items %v: segment %d = %v %v, reference %+v", period, items, i, iv, labels, wantMin[i])
+		}
+		i++
+	})
+	if i != len(wantMin) {
+		t.Fatalf("period %d items %v: %d segments, reference %d", period, items, i, len(wantMin))
+	}
+}
+
+// deepItems draws n items whose endpoints fall on a grid of g points of
+// the circle, so they overlap deeply and share endpoints: Lo anywhere in
+// [−period, 2·period), lengths from empty through wrapping to past the
+// whole circle, and labels below n/8+1, so many repeat.
+func deepItems(rng *rand.Rand, period timebase.Ticks, n, g int) []Labeled {
+	step := max(period/timebase.Ticks(g), 1)
+	items := make([]Labeled, n)
+	for i := range items {
+		items[i] = Labeled{
+			Lo:     timebase.Ticks(rng.Intn(3*g)-g) * step,
+			Length: timebase.Ticks(rng.Intn(g+2))*step - timebase.Ticks(rng.Intn(2)),
+			Label:  rng.Int63n(int64(n/8 + 1)),
+		}
+	}
+	return items
+}
+
+// TestSweepMatchesReferenceDeep: hundreds of items on a coarse grid keep
+// dozens of labels active and many closes pending on the heap at once,
+// with shared endpoints, repeated labels, wrapping items and items that
+// cover the whole circle. One Sweeper serves every case, so a deep sweep
+// reuses the buffers a shallow one left and vice versa.
+func TestSweepMatchesReferenceDeep(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var sw Sweeper
+	var maxDepth int
+	for trial := 0; trial < 120; trial++ {
+		period := timebase.Ticks(rng.Int63n(1<<(4+rng.Intn(30)))) + 1
+		items := deepItems(rng, period, 100+rng.Intn(500), 2+rng.Intn(40))
+		checkSweepAgainstReference(t, &sw, period, items, 1+rng.Intn(8))
+		sw.Sweep(period, items, func(_ Interval, labels []int64) { maxDepth = max(maxDepth, len(labels)) })
+	}
+	if maxDepth < 200 {
+		t.Errorf("deepest segment holds %d labels; the items no longer overlap deeply", maxDepth)
+	}
+}
+
+// FuzzSweepMatchesReference: the sweep agrees with the reference on any
+// item set the fuzzer can encode. The first two bytes pick the period's
+// size and the endpoint grid, the third the rank k, and every further
+// three bytes one item: its start and length on the grid and its label.
+func FuzzSweepMatchesReference(f *testing.F) {
+	f.Add([]byte{4, 3, 0, 1, 2, 0, 3, 1, 1, 5, 3, 2})
+	f.Add([]byte{20, 7, 2, 0, 9, 0, 0, 9, 0, 3, 2, 1, 14, 8, 1, 5, 1, 2})
+	f.Add([]byte{60, 15, 1, 200, 17, 4, 33, 255, 4, 90, 3, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		period := timebase.Ticks(1) << (data[0] % 61)
+		period += timebase.Ticks(data[0]) % period
+		g := 1 + int(data[1]%32)
+		k := 1 + int(data[2]%4)
+		step := max(period/timebase.Ticks(g), 1)
+		var items []Labeled
+		for rest := data[3:]; len(rest) >= 3 && len(items) < 256; rest = rest[3:] {
+			items = append(items, Labeled{
+				Lo:     timebase.Ticks(int(rest[0])%(3*g)-g) * step,
+				Length: timebase.Ticks(int(rest[1]>>1)%(g+2))*step - timebase.Ticks(rest[1]&1),
+				Label:  int64(rest[2] % 16),
+			})
+		}
+		var sw Sweeper
+		checkSweepAgainstReference(t, &sw, period, items, k)
+	})
+}

@@ -32,15 +32,31 @@ type Segment struct {
 // allocates only while they grow. The zero value is ready to use; a
 // Sweeper must not be shared between goroutines.
 type Sweeper struct {
-	ev, buf []Keyed
-	active  []int64
+	// opens and buf are the opening endpoints and the radix sort's spare,
+	// closes the heap of pending closes: three regions of one array, until
+	// the heap outgrows its region.
+	opens, buf, closes []Keyed
+	active             []int64
 }
 
-// An endpoint of a labeled interval is a Keyed record carrying the label.
-// Its key is twice the position, plus one for an opening endpoint, so
-// sorting by key puts closes before opens at a shared position.
-func openAt(at timebase.Ticks, label int64) Keyed  { return Keyed{uint64(at)<<1 | 1, label} }
-func closeAt(at timebase.Ticks, label int64) Keyed { return Keyed{uint64(at) << 1, label} }
+// sweepDepth is the overlap depth a fresh Sweeper makes room for up front.
+const sweepDepth = 64
+
+// grow makes room for n items: the opens and the sort's spare hold all of
+// them, the close heap and the active labels sweepDepth, and grow further
+// only on deeper overlaps. So a sweep on a fresh Sweeper allocates twice
+// unless its items overlap more than sweepDepth deep.
+func (s *Sweeper) grow(n int) {
+	if cap(s.opens) >= n && cap(s.buf) >= n {
+		return
+	}
+	d := max(cap(s.closes), sweepDepth)
+	block := make([]Keyed, 2*n+d)
+	s.opens, s.buf, s.closes = block[:0:n], block[n:n:2*n], block[2*n:2*n]
+	if cap(s.active) < d {
+		s.active = make([]int64, 0, d)
+	}
+}
 
 // Sweep partitions [0, period) into elementary segments, cut at every
 // distinct endpoint of the items, and calls visit once per segment in
@@ -48,56 +64,121 @@ func closeAt(at timebase.Ticks, label int64) Keyed { return Keyed{uint64(at) << 
 // ascending (empty where nothing covers it). labels is valid only during
 // the call and must not be modified. An item's Lo is reduced mod period,
 // a Length of period or more covers the whole circle, and items with
-// non-positive Length are ignored.
+// non-positive Length are ignored. Reducing costs a division only for an
+// item whose Lo lies outside [0, period).
 //
-// Each item contributes two endpoints, which are sorted once, by an LSD
-// radix sort on their integer positions with one pass per significant
-// byte of period; each endpoint then inserts or removes its label in a
-// sorted active list. For n items that overlap at most d deep, a sweep
-// costs O(n·(⌈log₂₅₆ period⌉ + d)).
+// Only the n opening endpoints are sorted, once, by an LSD radix sort on
+// their positions with one pass per significant byte of period. An item
+// that wraps past the origin covers 0 as the sweep starts, so its label is
+// active from there to its first close. Each open inserts its label in a
+// sorted active list and pushes its close on a min-heap keyed by position;
+// at every position the due closes leave the list before the opens there
+// enter it, which keeps the intervals half-open. For n items that overlap
+// at most d deep, a sweep costs O(n·(⌈log₂₅₆ period⌉ + log d + d)).
 func (s *Sweeper) Sweep(period timebase.Ticks, items []Labeled, visit func(iv Interval, labels []int64)) {
 	if period <= 0 {
 		panic(fmt.Sprintf("interval: sweep with non-positive period %d", period))
 	}
-	ev := slices.Grow(s.ev[:0], 2*len(items))
-	active := s.active[:0]
-	for _, it := range items {
+	s.grow(len(items))
+	opens, active, closes := s.opens[:0], s.active[:0], s.closes[:0]
+	for i, it := range items {
 		if it.Length <= 0 {
 			continue
 		}
-		lo := it.Lo.Mod(period)
-		hi := lo + min(it.Length, period)
-		if hi > period {
+		lo := it.Lo
+		if lo < 0 || lo >= period {
+			lo = lo.Mod(period)
+		}
+		if rest := period - lo; min(it.Length, period) > rest {
 			// Wraps: the item covers 0 as the sweep starts, closes at
-			// hi − period and opens again at lo.
+			// lo + length − period and opens again at lo.
 			k, _ := slices.BinarySearch(active, it.Label)
 			active = slices.Insert(active, k, it.Label)
-			hi -= period
+			closes = pushClose(closes, Keyed{uint64(min(it.Length, period) - rest), it.Label})
 		}
-		ev = append(ev, openAt(lo, it.Label), closeAt(hi, it.Label))
+		opens = append(opens, Keyed{uint64(lo), int64(i)})
 	}
-	ev, s.buf = RadixSort(ev, s.buf, uint64(period)<<1|1)
+	opens, s.buf = RadixSort(opens, s.buf, uint64(period-1))
 
 	var prev timebase.Ticks
-	for i := 0; i < len(ev); {
-		at := timebase.Ticks(ev[i].Key >> 1)
+	for i := 0; ; {
+		at := period
+		if i < len(opens) {
+			at = timebase.Ticks(opens[i].Key)
+		}
+		if len(closes) > 0 {
+			at = min(at, timebase.Ticks(closes[0].Key))
+		}
+		if at == period {
+			break
+		}
 		if at > prev {
 			visit(Interval{prev, at}, active)
 			prev = at
 		}
-		for ; i < len(ev) && timebase.Ticks(ev[i].Key>>1) == at; i++ {
-			k, _ := slices.BinarySearch(active, ev[i].Val)
-			if ev[i].Key&1 == 1 {
-				active = slices.Insert(active, k, ev[i].Val)
-			} else {
-				active = slices.Delete(active, k, k+1)
+		for len(closes) > 0 && timebase.Ticks(closes[0].Key) == at {
+			k, _ := slices.BinarySearch(active, closes[0].Val)
+			active = slices.Delete(active, k, k+1)
+			closes = popClose(closes)
+		}
+		for ; i < len(opens) && timebase.Ticks(opens[i].Key) == at; i++ {
+			it := &items[opens[i].Val]
+			k, _ := slices.BinarySearch(active, it.Label)
+			active = slices.Insert(active, k, it.Label)
+			// A close at the period ends the sweep, so it is not kept.
+			if length := min(it.Length, period); length < period-at {
+				closes = pushClose(closes, Keyed{uint64(at + length), it.Label})
 			}
 		}
 	}
 	if prev < period {
 		visit(Interval{prev, period}, active)
 	}
-	s.ev, s.active = ev, active
+	s.opens, s.active, s.closes = opens, active, closes
+}
+
+// pushClose adds c to the min-heap h of closes, ordered by Key.
+func pushClose(h []Keyed, c Keyed) []Keyed {
+	i := len(h)
+	h = append(h, c)
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].Key <= c.Key {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = c
+	return h
+}
+
+// popClose removes the least close from the min-heap h: the last slot
+// fills the root and sinks towards the smaller child.
+func popClose(h []Keyed) []Keyed {
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n == 0 {
+		return h
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].Key < h[c].Key {
+			c++
+		}
+		if last.Key <= h[c].Key {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return h
 }
 
 // Keyed is one record of RadixSort: an unsigned sort key and the value it
